@@ -1,9 +1,10 @@
 // Ablation: accuracy/time trade-off of the FPTAS against the exact LP.
 //
-// DESIGN.md calls out the choice of solver (Garg-Konemann FPTAS with a
-// certified primal-dual gap instead of CPLEX). This bench quantifies it:
-// for epsilon in {0.2, 0.1, 0.05, 0.02}, measure the certified gap, the
-// TRUE gap against the exact simplex LP, and the runtime.
+// src/flow/concurrent_flow.h explains the choice of solver (Garg-Konemann
+// FPTAS with a certified primal-dual gap instead of CPLEX). This bench
+// quantifies it: for epsilon in {0.2, 0.1, 0.05, 0.02}, measure the
+// certified gap, the TRUE gap against the exact simplex LP, and the
+// runtime.
 #include <chrono>
 
 #include "bench_common.h"

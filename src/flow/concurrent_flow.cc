@@ -171,8 +171,6 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
   const double stale_factor = 1.5;            // tree reuse tolerance
 
   DijkstraWorkspace routing_ws;
-  std::vector<DijkstraWorkspace> dual_ws(
-      static_cast<std::size_t>(parallel_slots()));
   std::vector<double> dual_terms(commodities.size());
 
   double best_dual = kInf;
@@ -229,6 +227,27 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
       approx ? static_cast<std::size_t>(num_slots) : 0, -1);
   long round_counter = 0;
   std::atomic<bool> routing_failed{false};
+  std::vector<DijkstraWorkspace> approx_dual_ws(
+      approx ? static_cast<std::size_t>(num_slots) : 0);
+
+  // ---- Exact-mode dual state ----
+  //
+  // The dual pass runs the source groups kDualLanes at a time through one
+  // multi-source sweep (MultiSourceWorkspace). Each lane's distances are
+  // bit-identical to a per-group Dijkstra whatever the blocking, so the
+  // fixed block size only bounds memory (num_nodes * kDualLanes doubles per
+  // slot) and sets the parallel grain.
+  constexpr int kDualLanes = 16;
+  const int num_dual_blocks =
+      approx ? 0 : (num_groups + kDualLanes - 1) / kDualLanes;
+  std::vector<MultiSourceWorkspace> exact_dual_ws(
+      approx ? 0 : static_cast<std::size_t>(num_slots));
+  std::vector<NodeId> group_src;
+  std::vector<const std::vector<int>*> group_hops;  // restricted runs only
+  for (int gi = 0; !approx && gi < num_groups; ++gi) {
+    group_src.push_back(grouped.groups[static_cast<std::size_t>(gi)].src);
+    if (options.restrict_to_shortest_paths) group_hops.push_back(dag_for(gi));
+  }
 
   const auto route_group_approx = [&](int slot, int gi) {
     const auto ss = static_cast<std::size_t>(slot);
@@ -441,46 +460,61 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
     last_primal = feasible_lambda(arcs, result.arc_flow, phase + 1,
                                   /*scale_to_feasible=*/false);
 
-    // Dual bound D(l)/alpha(l), valid for any lengths. The per-group
-    // Dijkstras are independent, so they run on the pool; each commodity's
-    // term lands in dual_terms and the sum is taken serially in group
-    // order, keeping the result identical for any thread count. Approx
-    // mode relaxes through Dial buckets while the length spread is still
-    // narrow (run_distances_bucketed falls back to the heap itself once
-    // the spread is too wide to bucket).
+    // Dual bound D(l)/alpha(l), valid for any lengths. The distance
+    // computations are independent, so they run on the pool; each
+    // commodity's term lands in dual_terms and the sum is taken serially in
+    // group order, keeping the result identical for any thread count.
+    // Exact mode runs blocks of groups through the multi-source sweep;
+    // approx mode runs one Dial-bucketed Dijkstra per group while the
+    // length spread is still narrow (run_distances_bucketed falls back to
+    // the heap itself once the spread is too wide to bucket).
     if (phase % dual_cadence == 0 || phase + 1 == options.max_phases) {
       double d_l = 0.0;
       for (int a = 0; a < arcs.num_arcs; ++a) {
         d_l += length[static_cast<std::size_t>(a)] *
                arcs.capacity[static_cast<std::size_t>(a)];
       }
-      double min_len = kInf;
-      double max_len = 0.0;
       if (approx) {
+        double min_len = kInf;
+        double max_len = 0.0;
         for (double l : slot_length) {
           min_len = std::min(min_len, l);
           max_len = std::max(max_len, l);
         }
-      }
-      parallel_for_slots(num_groups, [&](int slot, int gi) {
-        const auto& group = grouped.groups[static_cast<std::size_t>(gi)];
-        DijkstraWorkspace& ws = dual_ws[static_cast<std::size_t>(slot)];
-        if (approx) {
+        parallel_for_slots(num_groups, [&](int slot, int gi) {
+          const auto& group = grouped.groups[static_cast<std::size_t>(gi)];
+          DijkstraWorkspace& ws =
+              approx_dual_ws[static_cast<std::size_t>(slot)];
           ws.run_distances_bucketed(arcs, slot_length.data(), group.src,
                                     min_len, max_len, dag_for(gi),
                                     grouped.dsts.data() + group.begin,
                                     group.end - group.begin);
-        } else {
-          ws.run_distances(arcs, slot_length.data(), group.src, dag_for(gi),
-                           grouped.dsts.data() + group.begin,
-                           group.end - group.begin);
-        }
-        for (int i = group.begin; i < group.end; ++i) {
-          dual_terms[static_cast<std::size_t>(i)] =
-              grouped.demands[static_cast<std::size_t>(i)] *
-              ws.dist(grouped.dsts[static_cast<std::size_t>(i)]);
-        }
-      });
+          for (int i = group.begin; i < group.end; ++i) {
+            dual_terms[static_cast<std::size_t>(i)] =
+                grouped.demands[static_cast<std::size_t>(i)] *
+                ws.dist(grouped.dsts[static_cast<std::size_t>(i)]);
+          }
+        });
+      } else {
+        parallel_for_slots(num_dual_blocks, [&](int slot, int block) {
+          MultiSourceWorkspace& ws =
+              exact_dual_ws[static_cast<std::size_t>(slot)];
+          const int first = block * kDualLanes;
+          const int lanes = std::min(kDualLanes, num_groups - first);
+          ws.run(arcs, slot_length.data(), group_src.data() + first, lanes,
+                 options.restrict_to_shortest_paths ? group_hops.data() + first
+                                                    : nullptr);
+          for (int lane = 0; lane < lanes; ++lane) {
+            const auto& group =
+                grouped.groups[static_cast<std::size_t>(first + lane)];
+            for (int i = group.begin; i < group.end; ++i) {
+              dual_terms[static_cast<std::size_t>(i)] =
+                  grouped.demands[static_cast<std::size_t>(i)] *
+                  ws.dist(lane, grouped.dsts[static_cast<std::size_t>(i)]);
+            }
+          }
+        });
+      }
       double alpha = 0.0;
       for (double term : dual_terms) alpha += term;
       if (alpha > 0.0) best_dual = std::min(best_dual, d_l / alpha);

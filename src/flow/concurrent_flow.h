@@ -21,16 +21,18 @@
 // Dijkstra serves many commodities, and shortest-path trees are reused
 // until their paths go stale — the two classic practical accelerations.
 //
-// The hot path runs on a flat CSR arc graph with pooled Dijkstra
-// workspaces (src/graph/shortest_path.h): no per-call allocation, searches
-// bounded by each group's destinations, and the dual-bound Dijkstras and
-// the reachability pre-pass distributed over the shared thread pool
-// (src/util/parallel.h). All reductions are ordered, so results are
-// identical for any thread count — and agree with the original reference
-// formulation's lambda/dual bound to 1e-9 on fixed seeds
-// (bench/baseline_solver.cc + perf_microbench guard this; the only
-// intended divergence is the in-loop overflow rescale, which the
-// reference applied per group).
+// The hot path runs on a flat CSR arc graph with pooled workspaces
+// (src/graph/shortest_path.h): no per-call allocation, and routing
+// Dijkstras bounded by each group's destinations. In exact mode the dual
+// bound's distances come from one multi-source sweep per fixed-size block
+// of source groups (MultiSourceWorkspace), which is bit-identical to a
+// Dijkstra per group; the blocks and the reachability pre-pass are
+// distributed over the shared thread pool (src/util/parallel.h). All
+// reductions are ordered, so results are identical for any thread count —
+// and agree with the original reference formulation's lambda/dual bound
+// to 1e-9 on fixed seeds (bench/baseline_solver.cc + perf_microbench guard
+// this; the only intended divergence is the in-loop overflow rescale,
+// which the reference applied per group).
 #ifndef TOPODESIGN_FLOW_CONCURRENT_FLOW_H
 #define TOPODESIGN_FLOW_CONCURRENT_FLOW_H
 

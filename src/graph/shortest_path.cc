@@ -387,6 +387,92 @@ void DijkstraWorkspace::sift_down(int pos, HeapEntry entry) {
   heap_pos_[static_cast<std::size_t>(entry_node(entry))] = pos;
 }
 
+void MultiSourceWorkspace::run(const ArcGraph& arcs, const double* slot_length,
+                               const NodeId* sources, int lanes,
+                               const std::vector<int>* const* lane_hops) {
+  require(lanes >= 1, "multi-source run needs at least one lane");
+  const auto n = static_cast<std::size_t>(arcs.num_nodes);
+  const auto width = static_cast<std::size_t>(lanes);
+  lanes_ = lanes;
+  dist_.assign(n * width, kInf);
+  dirty_.assign(n, 0);
+  for (std::size_t g = 0; g < width; ++g) {
+    const NodeId src = sources[g];
+    require(src >= 0 && src < arcs.num_nodes,
+            "multi-source run: source out of range");
+    dist_[static_cast<std::size_t>(src) * width + g] = 0.0;
+    dirty_[static_cast<std::size_t>(src)] = 1;
+  }
+  if (lane_hops == nullptr) {
+    sweep_until_fixed<false>(arcs, slot_length);
+    return;
+  }
+  // Hop counts as doubles, so the per-lane hop test vectorises alongside
+  // the double distances (small integers convert exactly).
+  hops_.resize(n * width);
+  for (std::size_t g = 0; g < width; ++g) {
+    const std::vector<int>& hops = *lane_hops[g];
+    require(hops.size() == n, "multi-source run: hop map size mismatch");
+    for (std::size_t v = 0; v < n; ++v) {
+      hops_[v * width + g] = static_cast<double>(hops[v]);
+    }
+  }
+  sweep_until_fixed<true>(arcs, slot_length);
+}
+
+template <bool kUseDag>
+void MultiSourceWorkspace::sweep_until_fixed(const ArcGraph& arcs,
+                                             const double* slot_length) {
+  const int* const first_out = arcs.first_out.data();
+  const NodeId* const slot_head = arcs.slot_head.data();
+  const auto width = static_cast<std::size_t>(lanes_);
+  const int lanes = lanes_;
+  double* const dist = dist_.data();
+  const double* const hops = hops_.data();
+  char* const dirty = dirty_.data();
+  // The first three sweeps scan nodes in increasing id order, which
+  // settles random graphs. From then on every other sweep scans in
+  // decreasing order, so a label that must travel against the id order
+  // (around a ring or torus) crosses a whole path per sweep, not one arc.
+  bool changed = true;
+  for (int sweep = 0; changed; ++sweep) {
+    changed = false;
+    const bool backward = sweep >= 3 && sweep % 2 == 1;
+    for (NodeId k = 0; k < arcs.num_nodes; ++k) {
+      const NodeId u = backward ? arcs.num_nodes - 1 - k : k;
+      if (!dirty[u]) continue;
+      dirty[u] = 0;
+      // No self-loops (Graph forbids them), so rows u and v never overlap.
+      const auto us = static_cast<std::size_t>(u);
+      const double* __restrict du = dist + us * width;
+      const double* __restrict hu = kUseDag ? hops + us * width : nullptr;
+      for (int i = first_out[u]; i < first_out[u + 1]; ++i) {
+        const auto vs = static_cast<std::size_t>(slot_head[i]);
+        double* __restrict dv = dist + vs * width;
+        const double* __restrict hv = kUseDag ? hops + vs * width : nullptr;
+        const double l = slot_length[i];
+        // Change detection ORs the bit patterns that moved: gcc does not
+        // vectorise a bool reduction of double compares, but does this.
+        std::uint64_t moved = 0;
+        for (int g = 0; g < lanes; ++g) {
+          double lg = l;
+          if constexpr (kUseDag) lg = hv[g] == hu[g] + 1.0 ? l : kInf;
+          const double c = du[g] + lg;
+          const double old = dv[g];
+          const double best = c < old ? c : old;
+          moved |= std::bit_cast<std::uint64_t>(best) ^
+                   std::bit_cast<std::uint64_t>(old);
+          dv[g] = best;
+        }
+        if (moved != 0) {
+          dirty[vs] = 1;
+          changed = true;
+        }
+      }
+    }
+  }
+}
+
 void BfsWorkspace::begin_run(int num_nodes, NodeId src) {
   require(src >= 0 && src < num_nodes, "bfs source out of range");
   const auto n = static_cast<std::size_t>(num_nodes);

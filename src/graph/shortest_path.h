@@ -20,6 +20,10 @@
 //    distances are broken toward the smaller node id, matching the pop
 //    order of the classic lazy binary-heap formulation so results are
 //    reproducible across implementations.
+//  * MultiSourceWorkspace — distances from many sources at once by
+//    label-correcting sweeps over lane-major rows, one SIMD lane per
+//    source: the solver's exact-mode dual bound, which needs distances
+//    only, bit-identical to per-source Dijkstra.
 //  * BfsWorkspace — generation-stamped hop distances with a reusable
 //    frontier queue.
 #ifndef TOPODESIGN_GRAPH_SHORTEST_PATH_H
@@ -94,10 +98,11 @@ class DijkstraWorkspace {
                  const NodeId* targets = nullptr, int num_targets = 0);
 
   /// As run_slots, but records no parent arcs: cheaper, for callers that
-  /// need only distances (e.g. the solver's dual bound). Distances are
-  /// identical to run_slots — they are independent of tie handling and of
-  /// parent bookkeeping. parent_arc()/extract_path() are meaningless
-  /// after this variant.
+  /// need only distances (e.g. the approx solver's dual bound, through
+  /// run_distances_bucketed's fallback). Distances are identical to
+  /// run_slots — they are independent of tie handling and of parent
+  /// bookkeeping. parent_arc()/extract_path() are meaningless after this
+  /// variant.
   void run_distances(const ArcGraph& arcs, const double* slot_length,
                      NodeId src, const std::vector<int>* dag_hops = nullptr,
                      const NodeId* targets = nullptr, int num_targets = 0);
@@ -190,6 +195,73 @@ class DijkstraWorkspace {
   std::vector<std::uint32_t> settled_stamp_;  // bucket runs: node finalized
   int heap_size_ = 0;
   std::uint32_t generation_ = 0;
+};
+
+/// Distances from several sources at once ("lanes"), computed by
+/// label-correcting Gauss-Seidel sweeps instead of one Dijkstra per source.
+///
+/// Distances are stored lane-major, dist[node * lanes + lane], so the
+/// relaxation of one CSR arc (u, v) is a branch-free loop over the lanes,
+/// `c = du[g] + l; dv[g] = c < dv[g] ? c : dv[g]`, which the compiler
+/// vectorises. A sweep scans the nodes in id order (from the fourth sweep
+/// on, every other sweep in reverse order) and relaxes the out-arcs of
+/// every node whose row changed since its last scan; the pass stops after
+/// a sweep that changes nothing.
+///
+/// Bit-identity with DijkstraWorkspace::run_distances. Let D(v) be the
+/// minimum, over all walks from the source to v, of the walk's
+/// left-associated floating-point sum fl(...fl(fl(l1 + l2) + l3)... + lk).
+///  * Rounding is monotone and lengths are >= 0, so fl(x + l) >= x and
+///    fl(x + l) is non-decreasing in x. Hence every walk's prefix sums are
+///    non-decreasing, and cutting a cycle out of a walk never raises its
+///    sum: D(v) is attained by a simple path.
+///  * Dijkstra computes exactly D for every node it finalises: its pop
+///    order never decreases (fl(x + l) >= x), so the textbook exchange
+///    argument goes through with fl sums in place of real ones. Bounding
+///    the run by targets only stops it early; finalised labels are final.
+///  * The sweeps compute D too. Every label is some walk's sum, so it is
+///    >= D. At the fixpoint no arc improves any label, so by induction on
+///    walk length (and monotonicity in x) each label is <= every walk's
+///    sum. After k sweeps each label is at most the best sum over walks
+///    of at most k arcs (as in Bellman-Ford), and D is attained by a
+///    simple path, so at most num_nodes sweeps run.
+/// The fixpoint is unique, so it depends on neither the sweep order nor
+/// on which other sources share the block: callers may split sources into
+/// blocks and blocks over threads freely without moving a single bit.
+/// Unreached nodes (and sums that overflow) stay at +inf in both. Under
+/// hop restriction the same argument runs over walks of allowed arcs.
+///
+/// Not thread-safe; use one workspace per thread. Memory is
+/// num_nodes * lanes doubles (twice that with hop restriction).
+class MultiSourceWorkspace {
+ public:
+  /// Computes every node's distance from each of sources[0..lanes), with
+  /// lengths addressed by CSR slot as in DijkstraWorkspace::run_slots.
+  ///
+  /// When `lane_hops` is non-null, lane g relaxes only arcs (u, v) with
+  /// (*lane_hops[g])[v] == (*lane_hops[g])[u] + 1 — any other arc counts
+  /// as +inf in that lane — the same hop-shortest-path DAG restriction as
+  /// run_slots' dag_hops, per source.
+  void run(const ArcGraph& arcs, const double* slot_length,
+           const NodeId* sources, int lanes,
+           const std::vector<int>* const* lane_hops = nullptr);
+
+  /// Distance of `v` from sources[lane] in the last run; +inf when
+  /// unreached.
+  [[nodiscard]] double dist(int lane, NodeId v) const {
+    return dist_[static_cast<std::size_t>(v) *
+                     static_cast<std::size_t>(lanes_) +
+                 static_cast<std::size_t>(lane)];
+  }
+
+ private:
+  template <bool kUseDag>
+  void sweep_until_fixed(const ArcGraph& arcs, const double* slot_length);
+
+  std::vector<double> dist_;  // lane-major distances
+  std::vector<double> hops_;  // lane-major hop counts (restricted runs)
+  std::vector<char> dirty_;   // node's row changed since its last scan
+  int lanes_ = 0;
 };
 
 /// Reusable BFS state: generation-stamped hop distances and a frontier

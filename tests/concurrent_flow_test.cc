@@ -2,6 +2,9 @@
 // against the exact LP and the paper's throughput-decomposition identity.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "bounds/bounds.h"
 #include "flow/concurrent_flow.h"
 #include "lp/mcf_lp.h"
@@ -115,6 +118,27 @@ TEST(ConcurrentFlow, HighCapacityEdgePreferred) {
   const ThroughputResult r = max_concurrent_flow(g, {{0, 3, 1.0}}, tight());
   EXPECT_GE(r.lambda, 0.95 * 11.0);
   EXPECT_LE(r.lambda, 11.0 + 1e-6);
+}
+
+// Hop-shortest-path (DAG-restricted) routing has no golden scenario, so
+// this fixed-seed solve pins it bit for bit. The expected values were
+// recorded from the per-group Dijkstra dual pass; the multi-source sweep
+// that replaced it must reproduce them exactly.
+TEST(ConcurrentFlow, ShortestPathRestrictedSolveIsPinnedBitwise) {
+  const Graph g = random_regular_graph(30, 4, 21);
+  Rng rng(8);
+  std::vector<Commodity> commodities;
+  for (int i = 0; i < 30; ++i) {
+    commodities.push_back({i, (i + 11) % 30, 1.0 + rng.uniform()});
+  }
+  FlowOptions options = tight();
+  options.restrict_to_shortest_paths = true;
+  const ThroughputResult r = max_concurrent_flow(g, commodities, options);
+  ASSERT_TRUE(r.feasible);
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  EXPECT_EQ(bits(r.lambda), bits(0x1.22e45b8523539p-2)) << r.lambda;
+  EXPECT_EQ(bits(r.dual_bound), bits(0x1.320d71faecfbap-2)) << r.dual_bound;
+  EXPECT_EQ(r.phases, 141);
 }
 
 // Cross-validation against the exact LP over random instances.

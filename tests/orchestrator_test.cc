@@ -194,6 +194,10 @@ TEST(Orchestrator, RetryExhaustionEmitsManifestAndPartialExit) {
   OrchestratorConfig config = base_config(write_spec(spec, dir), dir);
   config.worker_env = {{fault::kFaultEnvVar, "crash_after_cells:1"}};
   config.max_retries = 0;  // first crash abandons the stripe
+  // One pool thread per worker: on a wider pool a stripe's second cell can
+  // be published between the first publish and the self-kill, so the
+  // one-cell-per-stripe counts below would hold only by timing.
+  config.worker_flags.emplace_back("--threads=1");
 
   std::ostringstream os;
   ScenarioOptions options = base_options();

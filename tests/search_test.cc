@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -289,11 +290,20 @@ TEST(IncastWorkload, SeededStreamsReproduce) {
   }
 }
 
-FullThroughputSearch counting_search(
-    std::map<std::pair<int, std::uint64_t>, int>* builds) {
+// Per-(tors, seed) build counts. Builders run concurrently on pool
+// threads, so every update holds the mutex.
+struct BuildTally {
+  std::mutex mutex;
+  std::map<std::pair<int, std::uint64_t>, int> counts;
+};
+
+FullThroughputSearch counting_search(BuildTally* builds) {
   FullThroughputSearch search;
   search.builder = [builds](int tors, std::uint64_t seed) {
-    ++(*builds)[{tors, seed}];
+    {
+      const std::lock_guard<std::mutex> lock(builds->mutex);
+      ++builds->counts[{tors, seed}];
+    }
     return random_regular_topology(10, 5, 3, seed + static_cast<std::uint64_t>(tors));
   };
   search.min_tors = 2;
@@ -305,30 +315,30 @@ FullThroughputSearch counting_search(
 }
 
 TEST(BisectionMemo, EachTorsSeedPairBuildsAtMostOnce) {
-  std::map<std::pair<int, std::uint64_t>, int> builds;
+  BuildTally builds;
   const FullThroughputSearch search = counting_search(&builds);
   EXPECT_EQ(max_tors_at_full_throughput(search, 17), 6);
-  ASSERT_FALSE(builds.empty());
-  for (const auto& [key, count] : builds) {
+  ASSERT_FALSE(builds.counts.empty());
+  for (const auto& [key, count] : builds.counts) {
     EXPECT_EQ(count, 1) << "tors " << key.first << " seed " << key.second;
   }
 }
 
 TEST(BisectionMemo, CachedProbesSkipRevaluationAcrossInvocations) {
-  std::map<std::pair<int, std::uint64_t>, int> builds;
+  BuildTally builds;
   const FullThroughputSearch search = counting_search(&builds);
   const std::string dir = fresh_dir("search_bisect");
   const scenario::ResultCache cache(dir);
   const int first =
       max_tors_at_full_throughput_cached(search, 17, "bisect-test", &cache);
   EXPECT_EQ(first, 6);
-  EXPECT_FALSE(builds.empty());
+  EXPECT_FALSE(builds.counts.empty());
 
-  builds.clear();
+  builds.counts.clear();
   const int second =
       max_tors_at_full_throughput_cached(search, 17, "bisect-test", &cache);
   EXPECT_EQ(second, first);
-  EXPECT_TRUE(builds.empty()) << "warm bisection re-evaluated a probe";
+  EXPECT_TRUE(builds.counts.empty()) << "warm bisection re-evaluated a probe";
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,12 @@
-// Tests for the CSR arc graph and the pooled Dijkstra/BFS workspaces.
+// Tests for the CSR arc graph and the pooled Dijkstra, multi-source, and
+// BFS workspaces.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "graph/algorithms.h"
@@ -154,6 +159,189 @@ TEST(DijkstraWorkspace, DagRestrictionLimitsArcs) {
   const std::vector<int> hops1 = bfs_distances(g, 1);
   ws.run(arcs, length, 1, &hops1);
   EXPECT_DOUBLE_EQ(ws.dist(2), 2.0);  // via 0 or 3, both hop-increasing
+}
+
+// Random multigraph: parallel edges allowed (no self-loops), and the last
+// `isolated` nodes get no edges at all so some distances stay +inf.
+Graph random_multigraph(int n, int m, int isolated, std::uint64_t seed) {
+  Graph g(n);
+  Rng rng(seed);
+  const int connected = n - isolated;
+  for (int e = 0; e < m; ++e) {
+    const int u = rng.uniform_int(0, connected - 1);
+    int v = rng.uniform_int(0, connected - 2);
+    if (v >= u) ++v;
+    g.add_edge(u, v, 1.0);
+    if (rng.chance(0.2)) g.add_edge(u, v, 1.0);  // parallel twin
+  }
+  return g;
+}
+
+// Per-slot lengths spanning 1e-150..1e200 on a log scale, salted with
+// zeros, subnormals, and near-overflow values (sums of which hit +inf).
+std::vector<double> extreme_slot_lengths(int num_arcs, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> length(static_cast<std::size_t>(num_arcs));
+  for (double& l : length) {
+    const double pick = rng.uniform();
+    if (pick < 0.05) {
+      l = 0.0;
+    } else if (pick < 0.15) {
+      l = std::numeric_limits<double>::denorm_min() *
+          static_cast<double>(rng.uniform_int(1, 1 << 20));
+    } else if (pick < 0.20) {
+      l = std::numeric_limits<double>::max() * rng.uniform(0.3, 0.9);
+    } else {
+      l = std::pow(10.0, rng.uniform(-150.0, 200.0));
+    }
+  }
+  return length;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// Runs `sources` through one MultiSourceWorkspace call per block of
+// `block` lanes and checks every lane's distance to every node bit for bit
+// against DijkstraWorkspace::run_distances from that source.
+void expect_multi_source_matches_dijkstra(
+    const ArcGraph& arcs, const std::vector<double>& slot_length,
+    const std::vector<NodeId>& sources, int block,
+    const std::vector<std::vector<int>>* hops = nullptr) {
+  MultiSourceWorkspace multi;
+  DijkstraWorkspace single;
+  const auto n = static_cast<std::size_t>(arcs.num_nodes);
+  for (std::size_t first = 0; first < sources.size();
+       first += static_cast<std::size_t>(block)) {
+    const int lanes = static_cast<int>(
+        std::min(sources.size() - first, static_cast<std::size_t>(block)));
+    std::vector<const std::vector<int>*> lane_hops;
+    if (hops != nullptr) {
+      for (int g = 0; g < lanes; ++g) {
+        lane_hops.push_back(&(*hops)[first + static_cast<std::size_t>(g)]);
+      }
+    }
+    multi.run(arcs, slot_length.data(), sources.data() + first, lanes,
+              hops != nullptr ? lane_hops.data() : nullptr);
+    for (int g = 0; g < lanes; ++g) {
+      const std::size_t idx = first + static_cast<std::size_t>(g);
+      single.run_distances(arcs, slot_length.data(), sources[idx],
+                           hops != nullptr ? &(*hops)[idx] : nullptr);
+      for (std::size_t v = 0; v < n; ++v) {
+        const auto node = static_cast<NodeId>(v);
+        if (bits(single.dist(node)) != bits(multi.dist(g, node))) {
+          ADD_FAILURE() << "source " << sources[idx] << " (lane " << g
+                        << " of " << lanes << ") node " << v << ": dijkstra "
+                        << single.dist(node) << ", multi-source "
+                        << multi.dist(g, node);
+          break;
+        }
+      }
+    }
+  }
+}
+
+std::vector<NodeId> all_nodes(int n) {
+  std::vector<NodeId> nodes(static_cast<std::size_t>(n));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  return nodes;
+}
+
+TEST(MultiSourceWorkspace, BitIdenticalToDijkstraOnExtremeLengths) {
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    const Graph g = random_multigraph(70, 160, 5, seed);
+    const ArcGraph arcs(g);
+    const auto length = extreme_slot_lengths(arcs.num_arcs, seed + 100);
+    // Lane counts that are neither a multiple of the solver's block nor of
+    // the SIMD width, plus a single lane and everything in one block.
+    for (int block : {1, 3, 7, 16, 70}) {
+      expect_multi_source_matches_dijkstra(arcs, length, all_nodes(70), block);
+    }
+  }
+}
+
+TEST(MultiSourceWorkspace, BitIdenticalToDijkstraOnRingWithTwinEdges) {
+  // A ring's shortest paths run against the node order half the time, so
+  // the pass needs many sweeps, including the reverse-order ones.
+  Graph g(120);
+  for (NodeId v = 0; v < 120; ++v) {
+    g.add_edge(v, (v + 1) % 120, 1.0);
+    if (v % 7 == 0) g.add_edge(v, (v + 1) % 120, 1.0);
+  }
+  const ArcGraph arcs(g);
+  const auto length = extreme_slot_lengths(arcs.num_arcs, 31);
+  for (int block : {5, 16}) {
+    expect_multi_source_matches_dijkstra(arcs, length, all_nodes(120), block);
+  }
+}
+
+TEST(MultiSourceWorkspace, BitIdenticalToDijkstraOnSolverLikeLengths) {
+  // Lengths as the solver grows them: 1/capacity times products of
+  // (1 + step * x) factors, so many sums tie or differ in the last ulp.
+  const Graph g = random_regular_graph(90, 6, 41);
+  const ArcGraph arcs(g);
+  Rng rng(17);
+  std::vector<double> length(static_cast<std::size_t>(arcs.num_arcs), 0.1);
+  for (double& l : length) {
+    for (int k = rng.uniform_int(0, 40); k > 0; --k) l *= 1.0 + 0.025 * 0.5;
+  }
+  const std::vector<NodeId> sources = {5, 88, 0, 41, 17, 63, 29, 74, 11};
+  expect_multi_source_matches_dijkstra(arcs, length, sources, 16);
+  expect_multi_source_matches_dijkstra(arcs, length, sources, 4);
+}
+
+TEST(MultiSourceWorkspace, BitIdenticalToDijkstraUnderDagRestriction) {
+  const Graph g = random_multigraph(60, 140, 4, 9);
+  const ArcGraph arcs(g);
+  const auto length = extreme_slot_lengths(arcs.num_arcs, 77);
+  const std::vector<NodeId> sources = all_nodes(60);
+  std::vector<std::vector<int>> hops;
+  for (NodeId s : sources) hops.push_back(bfs_distances(g, s));
+  for (int block : {1, 5, 16, 60}) {
+    expect_multi_source_matches_dijkstra(arcs, length, sources, block, &hops);
+  }
+}
+
+TEST(MultiSourceWorkspace, TargetBoundedDijkstraAgreesOnTargets) {
+  // The solver's former dual pass bounded each Dijkstra by the group's
+  // destinations; those finalized distances are the same fixpoint.
+  const Graph g = random_regular_graph(50, 5, 3);
+  const ArcGraph arcs(g);
+  const auto length = extreme_slot_lengths(arcs.num_arcs, 5);
+  const std::vector<NodeId> sources = {3, 30, 49};
+  const std::vector<NodeId> targets = {7, 12, 40};
+  MultiSourceWorkspace multi;
+  multi.run(arcs, length.data(), sources.data(),
+            static_cast<int>(sources.size()));
+  DijkstraWorkspace single;
+  for (std::size_t g = 0; g < sources.size(); ++g) {
+    single.run_distances(arcs, length.data(), sources[g], nullptr,
+                         targets.data(), static_cast<int>(targets.size()));
+    for (NodeId t : targets) {
+      EXPECT_EQ(bits(multi.dist(static_cast<int>(g), t)), bits(single.dist(t)))
+          << "source " << sources[g] << " target " << t;
+    }
+  }
+}
+
+TEST(MultiSourceWorkspace, UnreachedNodesStayInfiniteAndWorkspaceReuses) {
+  Graph g(5);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(3, 4, 1.0);
+  const ArcGraph arcs(g);
+  const std::vector<double> length(static_cast<std::size_t>(arcs.num_arcs),
+                                   2.0);
+  MultiSourceWorkspace ws;
+  const std::vector<NodeId> sources = {0, 4};
+  ws.run(arcs, length.data(), sources.data(), 2);
+  EXPECT_EQ(ws.dist(0, 2), 4.0);
+  EXPECT_EQ(ws.dist(0, 3), kInf);
+  EXPECT_EQ(ws.dist(1, 3), 2.0);
+  EXPECT_EQ(ws.dist(1, 0), kInf);
+  // A narrower rerun must not see the wider run's labels.
+  ws.run(arcs, length.data(), sources.data() + 1, 1);
+  EXPECT_EQ(ws.dist(0, 4), 0.0);
+  EXPECT_EQ(ws.dist(0, 1), kInf);
 }
 
 TEST(BfsWorkspace, MatchesBfsDistancesAndReuses) {
