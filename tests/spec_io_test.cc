@@ -10,10 +10,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "scenario/cache.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "scenario/sweep.h"
@@ -586,6 +588,119 @@ TEST(SpecErrors, OutOfRangeSeedRejectedBySharedFlagParser) {
   EXPECT_THROW((void)parse_scenario_options(3, negative), InvalidArgument);
   const char* huge[] = {"spec.json", "--seed", "99999999999999999999"};
   EXPECT_THROW((void)parse_scenario_options(3, huge), InvalidArgument);
+}
+
+// ---- Frozen addresses. The canonical spec bytes and every cell key are
+// ---- the cache's content addresses: refactoring how specs are parsed,
+// ---- validated or bound to cells must not move a single one. The values
+// ---- below were recorded before the evaluation knobs moved into one
+// ---- table and must never be edited to follow a code change.
+
+// Digest of every cell key a sweep addresses, plus the cell count. A
+// merge-only run over an empty cache evaluates nothing and reports every
+// cell as missing, in enumeration order.
+std::string cell_key_digest(const ScenarioSpec& spec, bool full,
+                            const std::string& solver_override = "") {
+  SweepRunConfig config;
+  config.runs = full ? spec.full_runs : spec.quick_runs;
+  config.full = full;
+  config.solver_override = solver_override;
+  config.cache_dir = ::testing::TempDir() + "/spec_io_test_frozen_keys";
+  config.merge_only = true;
+  std::filesystem::remove_all(config.cache_dir);
+  const SweepResult result = SweepRunner(spec, config).run();
+  std::filesystem::remove_all(config.cache_dir);
+  std::string keys;
+  for (const MissingCell& cell : result.missing) keys += hash_hex(cell.key);
+  return hash_hex(fnv1a64(keys)) + "/" + std::to_string(result.missing.size());
+}
+
+struct FrozenSpec {
+  const char* name;   // registered scenario name or example spec file
+  const char* bytes;  // hash_hex(fnv1a64(spec_to_json(spec)))
+  const char* smoke;  // cell_key_digest(spec, false)
+  const char* full;   // cell_key_digest(spec, true)
+};
+
+void expect_frozen(const ScenarioSpec& spec, const FrozenSpec& frozen) {
+  SCOPED_TRACE(frozen.name);
+  EXPECT_EQ(hash_hex(fnv1a64(spec_to_json(spec))), frozen.bytes);
+  EXPECT_EQ(cell_key_digest(spec, false), frozen.smoke);
+  EXPECT_EQ(cell_key_digest(spec, true), frozen.full);
+}
+
+TEST(FrozenAddresses, RegisteredSpecScenarios) {
+  const FrozenSpec frozen[] = {
+      {"sweep_fat_tree_link_failures", "5885c0ec3bb09f35",
+       "1e839bd2dfe13319/12", "08f1317dad0cf2c0/80"},
+      {"sweep_fat_tree_targeted_cuts", "17d1f4b2b27d9d23",
+       "98b7cea2de44edfa/15", "90c14d2751912a20/90"},
+      {"sweep_fct_load", "9d7d54572d62baed",
+       "adb411910aa8c8a1/3", "8c1f5fcf814ad28f/15"},
+      {"sweep_packet_vs_flow", "f517c649fc2cdfef",
+       "2e367b58787be217/1", "eedab3b1a7bf880f/10"},
+      {"sweep_rrg_capacity_degradation", "0a78e3904d246e0b",
+       "dc9ec784ae06bd41/15", "ed60ca5a0e25849d/180"},
+      {"sweep_rrg_correlated_failures", "aade1b870bbe4ad3",
+       "4b2fd80646853c3d/12", "b9d7ef7082d22950/140"},
+      {"sweep_rrg_link_failures", "408c82a296aa849d",
+       "0fb468205697564f/15", "04c67b24c1861e7e/180"},
+      {"sweep_rrg_switch_failures", "d4ae0833bfa93428",
+       "6c01fbc1dbd00478/15", "f3fd4633fda3c1ad/160"},
+      {"sweep_small_world_shortcuts", "79ab4eef1b355697",
+       "34c80b4d1f455264/9", "6a8566e252405765/70"},
+      {"sweep_two_type_cross_failures", "7cf9a4d493919171",
+       "924d197b5a550aab/18", "64c6e8a968265bb2/300"},
+      {"sweep_vl2_chunky", "5bf2b57008b9dea9",
+       "7b830bb715950e72/15", "6908e2615e8d477c/100"},
+      {"sweep_vl2_class_failures", "62d74076de6df31e",
+       "afe76f62022d4983/12", "bb068b779f59b18d/70"},
+  };
+  register_builtin_scenarios();
+  ASSERT_EQ(list_spec_scenarios().size(), std::size(frozen));
+  for (const FrozenSpec& entry : frozen) {
+    const ScenarioSpec* spec = find_spec_scenario(entry.name);
+    ASSERT_NE(spec, nullptr) << entry.name;
+    expect_frozen(*spec, entry);
+  }
+}
+
+TEST(FrozenAddresses, ExampleSweepSpecs) {
+  const FrozenSpec frozen[] = {
+      {"fat_tree_failure_grid.json", "9381b37e9c01eeb3",
+       "47dafe5b0b3b7af8/8", "4cca61fd65afc149/120"},
+      {"fat_tree_targeted_cuts.json", "17d1f4b2b27d9d23",
+       "98b7cea2de44edfa/15", "90c14d2751912a20/90"},
+      {"fct_load_sweep.json", "9d7d54572d62baed",
+       "adb411910aa8c8a1/3", "8c1f5fcf814ad28f/15"},
+      {"packet_vs_flow.json", "f517c649fc2cdfef",
+       "2e367b58787be217/1", "eedab3b1a7bf880f/10"},
+      {"rrg_correlated_failures.json", "aade1b870bbe4ad3",
+       "4b2fd80646853c3d/12", "b9d7ef7082d22950/140"},
+      {"rrg_link_failures.json", "408c82a296aa849d",
+       "0fb468205697564f/15", "04c67b24c1861e7e/180"},
+      {"vl2_class_failures.json", "62d74076de6df31e",
+       "afe76f62022d4983/12", "bb068b779f59b18d/70"},
+  };
+  for (const FrozenSpec& entry : frozen) {
+    expect_frozen(load_spec_file(std::string(TOPOBENCH_EXAMPLE_SPEC_DIR) +
+                                 "/" + entry.name),
+                  entry);
+  }
+}
+
+TEST(FrozenAddresses, ApproxOverrideAndSearchSpecHash) {
+  register_builtin_scenarios();
+  const ScenarioSpec* sweep = find_spec_scenario("sweep_rrg_link_failures");
+  ASSERT_NE(sweep, nullptr);
+  EXPECT_EQ(cell_key_digest(*sweep, false, "approx"),
+            "9fbcd103d54b4570/15");
+  // Search specs have no axes, so the sweep identity is the spec hash.
+  const ScenarioSpec search = load_spec_file(
+      std::string(TOPOBENCH_EXAMPLE_SPEC_DIR) + "/search_rrg_cost.json");
+  EXPECT_EQ(hash_hex(fnv1a64(spec_to_json(search))), "8050d5ec5f3392a4");
+  EXPECT_EQ(hash_hex(spec_hash(search, SweepRunConfig{})),
+            "fa445ad0f4a967da");
 }
 
 TEST(SpecRegistry, FiguresAreNotSpecBacked) {
