@@ -6,7 +6,7 @@
 //   topobench --spec FILE [flags...] run a spec file (no rebuild needed)
 //   topobench --dump-spec NAME [FILE]  round-trip a sweep scenario to JSON
 //
-// Flags (shared with the per-figure bench binaries):
+// Flags (shared by scenario and spec runs):
 //   --smoke        quick mode (the default; explicit for CI invocations)
 //   --full         paper-fidelity mode: more runs, finer sweeps
 //   --runs N       override seeds per data point

@@ -3,10 +3,9 @@
 // A scenario is a named unit of evaluation — one of the paper's figures, a
 // declarative parameter sweep (spec.h), or anything else expressible as
 // "print tables given run options". Scenarios register themselves in a
-// process-wide registry; the `topobench` CLI, the thin per-figure bench
-// binaries, and the golden-regression tests all select and run them
-// through the same entry points, so there is exactly one implementation of
-// every experiment in the tree.
+// process-wide registry; the `topobench` CLI and the golden-regression
+// tests select and run them through the same entry points, so there is
+// exactly one implementation of every experiment in the tree.
 //
 // Output model: a scenario writes human-readable output (banners, aligned
 // tables, trailing notes) to a stream exactly as the historical bench
@@ -152,7 +151,7 @@ void write_scenario_json(std::ostream& os, const std::string& name,
 int run_scenario(const std::string& name, const ScenarioOptions& options,
                  std::ostream& stream);
 
-/// Entry point shared by the thin bench binaries: registers the built-in
+/// The `topobench <scenario>` entry point: registers the built-in
 /// scenarios, parses flags, runs `name` against stdout. Returns a shell
 /// exit code.
 int scenario_main(const std::string& name, int argc, const char* const* argv);

@@ -27,25 +27,10 @@ struct TopologySpec {
 };
 
 /// One sweep dimension. The parameter name either targets the topology
-/// (any family parameter) or, for the reserved names below, the evaluation:
-///   "link_failure_fraction", "switch_failure_fraction"
-///       -> the uniform failure component,
-///   "blast_switch_fraction", "blast_probability"
-///       -> the correlated blast-radius component,
-///   "class_failure_fraction:<class>" (e.g. "class_failure_fraction:tor")
-///       -> that class's per-class failure rate,
-///   "targeted_link_cuts" -> the adversarial top-k link cuts (integers),
-///   "capacity_factor"    -> the surviving-link capacity derating,
-///   "chunky_fraction"    -> the chunky traffic knob,
-///   "hot_fraction", "hot_multiplier" -> the hotspot traffic knobs,
-///   "stride"             -> the stride traffic step (integers),
-///   "load"               -> the FCT workload's offered load fraction,
-///   "fan_in"             -> the incast fan-in (integers; requires the
-///                           workload's "pattern": "incast"),
-///   "cdf"                -> the FCT workload's flow-size CDF, as an
-///                           integer index into flow_size_cdfs(),
-///   "epsilon"            -> the FPTAS accuracy,
-///   "solver_mode"        -> the solver mode (0 = exact, 1 = approx).
+/// (any family parameter) or, for a reserved name, the evaluation. The
+/// reserved names, the values each admits and the spec each needs (e.g.
+/// "stride" needs stride traffic) are the knob table in spec_io.cc;
+/// README §"Declarative sweep specs" lists them.
 struct SweepAxis {
   std::string param;
   std::vector<double> values;       ///< Smoke-mode sweep points.
@@ -130,9 +115,22 @@ struct ScenarioSpec {
 /// e.g. "class_failure_fraction:tor".
 inline const std::string kClassAxisPrefix = "class_failure_fraction:";
 
+// Defined next to the knob table in spec_io.cc.
+
 /// True for axis names bound to evaluation options rather than topology
 /// parameters.
 [[nodiscard]] bool is_eval_axis(const std::string& param);
+
+/// Applies one sweep coordinate: an evaluation axis binds into `options`,
+/// any other name sets topology parameter `name` in `params`. Values are
+/// assumed to have passed validate_spec.
+void bind_axis(const std::string& name, double value, ParamMap& params,
+               EvalOptions& options);
+
+/// The evaluation options a spec describes before any axis binds: its
+/// traffic, failure and packet-sim fields and its solver mode. The FPTAS
+/// epsilon keeps its default; callers set their own.
+[[nodiscard]] EvalOptions eval_options_for(const ScenarioSpec& spec);
 
 }  // namespace topo::scenario
 

@@ -27,15 +27,253 @@ std::string number_list(const std::vector<double>& values) {
   return out;
 }
 
-// ---- Strict extraction helpers. Every message names the offending key so
-// ---- a typo'd spec file points at its own mistake.
-
 [[noreturn]] void fail_key(const std::string& key, const std::string& why) {
   throw InvalidArgument("spec key \"" + key + "\": " + why);
 }
 
+// ---- The evaluation knobs. Every reserved sweep-axis name is one row of
+// ---- knob_table(): its scalar spec key (if it has one), the one rule its
+// ---- values obey, the spec condition under which it means anything, and
+// ---- where it binds in EvalOptions. is_eval_axis, bind_axis, the JSON
+// ---- parser and validate_spec all walk this table, so a knob's name,
+// ---- range and gate are written once. (spec_to_json and
+// ---- cell_identity_json stay hand-written: their bytes are the cache's
+// ---- frozen addresses.)
+
+// The values a knob admits.
+struct ValueRule {
+  double lo = 0.0;
+  double hi = 1.0;
+  bool lo_open = false;
+  bool hi_open = false;
+  bool integer = false;
+  bool nonzero = false;
+  std::string want;  // the range as error messages state it
+
+  // Written positively, so NaN fails every rule.
+  [[nodiscard]] bool admits(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi) &&
+           (!integer || v == std::floor(v)) && (!nonzero || v != 0.0);
+  }
+};
+
+// Where a knob means anything. An axis whose gate fails would sweep a
+// no-op, and a scalar key whose gate fails would be silently carried.
+struct Gate {
+  bool (*holds)(const ScenarioSpec&) = nullptr;  // nullptr: everywhere
+  const char* needs = "";  // ends "requires ..." and "only valid with ..."
+  // Gates only the axis: the scalar key is emitted for every spec.
+  bool axis_only = false;
+};
+
+// A numeric knob's storage in EvalOptions. Integer knobs only ever
+// receive values their rule has already checked.
+struct Field {
+  Field(double& value) : real(&value) {}
+  Field(int& value) : integer(&value) {}
+
+  [[nodiscard]] double get() const {
+    return real != nullptr ? *real : *integer;
+  }
+  void set(double value) const {
+    if (real != nullptr) {
+      *real = value;
+    } else {
+      *integer = static_cast<int>(std::llround(value));
+    }
+  }
+
+  double* real = nullptr;
+  int* integer = nullptr;
+};
+
+struct Knob {
+  std::string name;            // axis name; the per-class row's is a prefix
+  const char* path = nullptr;  // scalar spec key; nullptr: axis only
+  ValueRule rule;
+  Gate gate = {};
+  // The knob's storage. Knobs stored as something other than a number
+  // (cdf, solver_mode) bind instead; the per-class row has neither, as
+  // the axis name's suffix picks its target.
+  Field (*field)(EvalOptions&) = nullptr;
+  void (*bind)(EvalOptions&, double) = nullptr;
+};
+
+bool is_chunky(const ScenarioSpec& s) {
+  return s.traffic == TrafficKind::kChunky;
+}
+bool is_hotspot(const ScenarioSpec& s) {
+  return s.traffic == TrafficKind::kHotspot;
+}
+bool is_stride(const ScenarioSpec& s) {
+  return s.traffic == TrafficKind::kStride;
+}
+bool has_workload(const ScenarioSpec& s) { return s.packet_sim.fct.enabled; }
+bool incast(const ScenarioSpec& s) {
+  return has_workload(s) && s.packet_sim.fct.pattern == "incast";
+}
+bool registry_cdf(const ScenarioSpec& s) {
+  return has_workload(s) && s.packet_sim.fct.custom_cdf.empty();
+}
+
+const std::vector<Knob>& knob_table() {
+  static const std::vector<Knob> table = [] {
+    const ValueRule fraction{.want = "[0, 1]"};
+    const ValueRule positive_fraction{.lo_open = true, .want = "(0, 1]"};
+    return std::vector<Knob>{
+        {.name = "link_failure_fraction",
+         .path = "failure.link_failure_fraction",
+         .rule = fraction,
+         .field = [](EvalOptions& o) -> Field {
+           return o.failure.uniform.link_fraction;
+         }},
+        {.name = "switch_failure_fraction",
+         .path = "failure.switch_failure_fraction",
+         .rule = fraction,
+         .field = [](EvalOptions& o) -> Field {
+           return o.failure.uniform.switch_fraction;
+         }},
+        {.name = "blast_switch_fraction",
+         .path = "failure.blast_switch_fraction",
+         .rule = fraction,
+         .field = [](EvalOptions& o) -> Field {
+           return o.failure.correlated.epicenter_fraction;
+         }},
+        {.name = "blast_probability",
+         .path = "failure.blast_probability",
+         .rule = fraction,
+         .field = [](EvalOptions& o) -> Field {
+           return o.failure.correlated.peer_probability;
+         }},
+        // "class_failure_fraction:<class>"; the scalar form is an object
+        // of class -> rate.
+        {.name = kClassAxisPrefix,
+         .path = "failure.class_failure_fraction",
+         .rule = fraction},
+        {.name = "targeted_link_cuts",
+         .path = "failure.targeted_link_cuts",
+         .rule = {.hi = 1e9, .integer = true, .want = "integers in 0..1e9"},
+         .field = [](EvalOptions& o) -> Field {
+           return o.failure.targeted.link_cuts;
+         }},
+        {.name = "capacity_factor",
+         .path = "failure.capacity_factor",
+         .rule = positive_fraction,
+         .field = [](EvalOptions& o) -> Field {
+           return o.failure.capacity_factor;
+         }},
+        {.name = "chunky_fraction",
+         .path = "chunky_fraction",
+         .rule = fraction,
+         .gate = {is_chunky, "chunky traffic", /*axis_only=*/true},
+         .field = [](EvalOptions& o) -> Field { return o.chunky_fraction; }},
+        {.name = "hot_fraction",
+         .path = "hot_fraction",
+         .rule = fraction,
+         .gate = {is_hotspot, "hotspot traffic"},
+         .field = [](EvalOptions& o) -> Field { return o.hot_fraction; }},
+        {.name = "hot_multiplier",
+         .path = "hot_multiplier",
+         .rule = {.lo = 1.0, .hi = 1e6, .want = "[1, 1e6]"},
+         .gate = {is_hotspot, "hotspot traffic"},
+         .field = [](EvalOptions& o) -> Field { return o.hot_multiplier; }},
+        {.name = "stride",
+         .path = "stride",
+         .rule = {.lo = -1e9, .hi = 1e9, .integer = true, .nonzero = true,
+                  .want = "non-zero integers in -1e9..1e9"},
+         .gate = {is_stride, "stride traffic"},
+         .field = [](EvalOptions& o) -> Field { return o.stride; }},
+        {.name = "load",
+         .path = "packet_sim.workload.load",
+         .rule = positive_fraction,
+         .gate = {has_workload, "a packet_sim.workload block"},
+         .field = [](EvalOptions& o) -> Field {
+           return o.packet_sim.fct.load;
+         }},
+        {.name = "fan_in",
+         .path = "packet_sim.workload.fan_in",
+         .rule = {.lo = 2.0, .hi = 1e6, .integer = true,
+                  .want = "integers in 2..1e6"},
+         .gate = {incast,
+                  "a packet_sim.workload block with \"pattern\": \"incast\""},
+         .field = [](EvalOptions& o) -> Field {
+           return o.packet_sim.fct.fan_in;
+         }},
+        // An integer index into flow_size_cdfs(), so its upper bound is
+        // the registry's size. A custom table has no index there.
+        {.name = "cdf",
+         .rule = {.hi = static_cast<double>(flow_size_cdfs().size()) - 1.0,
+                  .integer = true,
+                  .want = "integer indexes into the registered CDFs: " +
+                          flow_size_cdf_names()},
+         .gate = {registry_cdf,
+                  "a packet_sim.workload block naming a registered cdf "
+                  "(not a custom cdf_file / cdf_table)"},
+         .bind = [](EvalOptions& o, double v) {
+           o.packet_sim.fct.cdf =
+               flow_size_cdfs()[static_cast<std::size_t>(v)].name;
+         }},
+        {.name = "epsilon",
+         .rule = {.lo_open = true, .hi_open = true, .want = "(0, 1)"},
+         .field = [](EvalOptions& o) -> Field { return o.flow.epsilon; }},
+        {.name = "solver_mode",
+         .rule = {.integer = true, .want = "0 = exact or 1 = approx"},
+         .bind = [](EvalOptions& o, double v) {
+           o.flow.mode = v == 1.0 ? SolverMode::kApprox : SolverMode::kExact;
+         }},
+    };
+  }();
+  return table;
+}
+
+bool is_class_knob(const Knob& knob) { return knob.name == kClassAxisPrefix; }
+
+const Knob* find_knob(const std::string& param) {
+  for (const Knob& knob : knob_table()) {
+    if (param == knob.name ||
+        (is_class_knob(knob) && param.rfind(knob.name, 0) == 0)) {
+      return &knob;
+    }
+  }
+  return nullptr;
+}
+
+// A scalar knob value outside its rule fails naming `key`, with the same
+// words from the parser and from validate_spec.
+void check_scalar(const Knob& knob, const std::string& key, double value) {
+  if (knob.rule.admits(value)) return;
+  fail_key(key, knob.rule.integer && value != std::floor(value)
+                    ? "must be an integer"
+                    : "out of range (want " + knob.rule.want + ")");
+}
+
+// ScenarioSpec and EvalOptions name the evaluation fields they share
+// alike; this one list copies them in either direction.
+template <typename To, typename From>
+void copy_shared_knobs(To& to, const From& from) {
+  to.traffic = from.traffic;
+  to.chunky_fraction = from.chunky_fraction;
+  to.hot_fraction = from.hot_fraction;
+  to.hot_multiplier = from.hot_multiplier;
+  to.stride = from.stride;
+  to.failure = from.failure;
+  to.packet_sim = from.packet_sim;
+}
+
+// ---- Strict extraction helpers. Every message names the offending key so
+// ---- a typo'd spec file points at its own mistake.
+
+// Allows `allowed` plus every knob key directly under `where`.
 void require_only_keys(const JsonValue& object, const std::string& where,
-                       const std::vector<std::string>& allowed) {
+                       std::vector<std::string> allowed) {
+  for (const Knob& knob : knob_table()) {
+    if (knob.path == nullptr) continue;
+    const std::string path = knob.path;
+    if (path.rfind(where, 0) == 0 &&
+        path.find('.', where.size()) == std::string::npos) {
+      allowed.push_back(path.substr(where.size()));
+    }
+  }
   for (const auto& [key, value] : object.members) {
     (void)value;
     if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
@@ -47,6 +285,19 @@ void require_only_keys(const JsonValue& object, const std::string& where,
       throw InvalidArgument("spec: unknown key \"" + where + key +
                             "\" (known keys: " + known + ")");
     }
+  }
+}
+
+// The member at dotted `path` below `root`, or nullptr.
+const JsonValue* find_path(const JsonValue& root, const std::string& path) {
+  const JsonValue* node = &root;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t dot = path.find('.', begin);
+    node = node->find(path.substr(begin, dot - begin));
+    if (node == nullptr || dot == std::string::npos) return node;
+    if (!node->is_object()) return nullptr;
+    begin = dot + 1;
   }
 }
 
@@ -75,17 +326,6 @@ int get_run_count(const JsonValue& object, const std::string& key,
   return static_cast<int>(number);
 }
 
-double get_fraction(const JsonValue& object, const std::string& key,
-                    double fallback) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return fallback;
-  if (value->kind != JsonValue::Kind::kNumber) fail_key(key, "must be a number");
-  if (value->number < 0.0 || value->number > 1.0) {
-    fail_key(key, "out of range (want [0, 1])");
-  }
-  return value->number;
-}
-
 std::vector<double> get_number_list(const JsonValue& object,
                                     const std::string& key) {
   const JsonValue* value = object.find(key);
@@ -105,6 +345,219 @@ std::vector<double> get_number_list(const JsonValue& object,
 }
 
 }  // namespace
+
+bool is_eval_axis(const std::string& param) {
+  return find_knob(param) != nullptr;
+}
+
+void bind_axis(const std::string& name, double value, ParamMap& params,
+               EvalOptions& options) {
+  const Knob* knob = find_knob(name);
+  if (knob == nullptr) {
+    params[name] = value;
+  } else if (is_class_knob(*knob)) {
+    options.failure.per_class
+        .switch_fraction[name.substr(kClassAxisPrefix.size())] = value;
+  } else if (knob->field != nullptr) {
+    knob->field(options).set(value);
+  } else {
+    knob->bind(options, value);
+  }
+}
+
+EvalOptions eval_options_for(const ScenarioSpec& spec) {
+  EvalOptions options;
+  copy_shared_knobs(options, spec);
+  options.flow.mode = spec.solver;
+  return options;
+}
+
+void validate_spec(const ScenarioSpec& spec) {
+  require(!spec.name.empty(), "spec key \"name\": must be non-empty");
+  const FamilyInfo* family = find_family(spec.topology.family);
+  if (family == nullptr) {
+    std::string known;
+    for (const FamilyInfo& f : topology_families()) {
+      if (!known.empty()) known += ", ";
+      known += f.name;
+    }
+    fail_key("topology.family", "unknown family \"" + spec.topology.family +
+                                    "\" (known: " + known + ")");
+  }
+  const auto known_param = [&](const std::string& name) {
+    return std::find(family->params.begin(), family->params.end(), name) !=
+           family->params.end();
+  };
+  for (const auto& [name, value] : spec.topology.params) {
+    (void)value;
+    if (!known_param(name)) {
+      fail_key("topology.params." + name,
+               "unknown " + family->name + " parameter");
+    }
+  }
+  // Every scalar knob against its one rule, so programmatic specs get the
+  // same loud errors as files and a spec that validates also survives its
+  // own dump -> parse round trip.
+  EvalOptions knobs = eval_options_for(spec);
+  for (const Knob& knob : knob_table()) {
+    if (is_class_knob(knob)) {
+      for (const auto& [klass, fraction] :
+           spec.failure.per_class.switch_fraction) {
+        if (klass.empty()) fail_key(knob.path, "class name must be non-empty");
+        check_scalar(knob, std::string(knob.path) + "." + klass, fraction);
+      }
+    } else if (knob.path != nullptr) {
+      check_scalar(knob, knob.path, knob.field(knobs).get());
+    }
+  }
+  if (spec.packet_sim.enabled) {
+    const sim::SimParams& p = spec.packet_sim.params;
+    if (spec.packet_sim.fct.enabled) {
+      if (!spec.packet_sim.fct.custom_cdf.empty()) {
+        validate_flow_size_cdf(spec.packet_sim.fct.custom_cdf,
+                               "packet_sim.workload.cdf_table");
+      } else if (find_flow_size_cdf(spec.packet_sim.fct.cdf) == nullptr) {
+        fail_key("packet_sim.workload.cdf",
+                 "unknown flow-size CDF \"" + spec.packet_sim.fct.cdf +
+                     "\" (known: " + flow_size_cdf_names() + ")");
+      }
+      if (spec.packet_sim.fct.pattern != "uniform" &&
+          spec.packet_sim.fct.pattern != "incast") {
+        fail_key("packet_sim.workload.pattern",
+                 "unknown workload pattern \"" + spec.packet_sim.fct.pattern +
+                     "\" (known: uniform, incast)");
+      }
+    } else if (spec.traffic != TrafficKind::kPermutation &&
+               spec.traffic != TrafficKind::kStride) {
+      fail_key("packet_sim",
+               "requires permutation or stride traffic (the simulator models "
+               "server-to-server unit-demand bulk flows) unless a workload "
+               "block selects the finite-flow FCT mode");
+    }
+    if (p.subflows < 1 || p.subflows > 64) {
+      fail_key("packet_sim.subflows", "out of range (want 1..64)");
+    }
+    if (p.queue_packets < 1) {
+      fail_key("packet_sim.queue_packets", "out of range (want >= 1)");
+    }
+    if (p.packet_bytes < 64) {
+      fail_key("packet_sim.packet_bytes", "out of range (want >= 64)");
+    }
+    if (p.warmup_ns >= p.duration_ns) {
+      fail_key("packet_sim.warmup_ns", "must be below duration_ns");
+    }
+    if (p.server_rate_gbps <= 0.0) {
+      fail_key("packet_sim.server_rate_gbps", "out of range (want > 0)");
+    }
+  }
+  if (spec.search.enabled) {
+    // A spec either sweeps or searches: axes bind sweep points, while the
+    // search block explores a design space at fixed parameters — letting
+    // both through would silently ignore one of them.
+    if (!spec.axes.empty()) {
+      fail_key("search", "incompatible with sweep axes (a spec either "
+                         "sweeps or searches)");
+    }
+    if (spec.search.objective != "throughput_per_cost" &&
+        spec.search.objective != "throughput") {
+      fail_key("search.objective",
+               "unknown objective \"" + spec.search.objective +
+                   "\" (known: throughput_per_cost, throughput)");
+    }
+    if (spec.search.budget < 0) {
+      fail_key("search.budget", "out of range (want >= 0)");
+    }
+    if (spec.search.restarts < 1) {
+      fail_key("search.restarts", "out of range (want >= 1)");
+    }
+    if (spec.search.population < 1) {
+      fail_key("search.population", "out of range (want >= 1)");
+    }
+    if (spec.search.temperature < 0.0) {
+      fail_key("search.temperature", "out of range (want >= 0)");
+    }
+    if (spec.search.moves.empty()) {
+      fail_key("search.moves", "must be non-empty");
+    }
+    for (const std::string& move : spec.search.moves) {
+      if (move != "rewire" && move != "server_shift") {
+        fail_key("search.moves", "unknown move \"" + move +
+                                     "\" (known: rewire, server_shift)");
+      }
+    }
+    const auto check_weight = [](const char* key, double value) {
+      if (value < 0.0) {
+        fail_key(std::string("search.cost.") + key,
+                 "out of range (want >= 0)");
+      }
+    };
+    check_weight("port", spec.search.port_cost);
+    check_weight("cable", spec.search.cable_cost);
+    check_weight("switch", spec.search.switch_cost);
+    for (const auto& [klass, value] : spec.search.class_cost) {
+      if (klass.empty()) {
+        fail_key("search.cost.class", "class name must be non-empty");
+      }
+      if (value < 0.0) {
+        fail_key("search.cost.class." + klass, "out of range (want >= 0)");
+      }
+    }
+    if (spec.search.floor_columns < 1) {
+      fail_key("search.cost.floor_columns", "out of range (want >= 1)");
+    }
+  }
+  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+    const SweepAxis& axis = spec.axes[a];
+    const std::string where = "axes[" + std::to_string(a) + "].";
+    if (axis.param.empty()) fail_key(where + "param", "must be non-empty");
+    if (axis.param == kClassAxisPrefix) {
+      fail_key(where + "param",
+               "class axis needs a class name after \"" + kClassAxisPrefix +
+                   "\" (e.g. " + kClassAxisPrefix + "tor)");
+    }
+    const Knob* knob = find_knob(axis.param);
+    if (knob == nullptr && !known_param(axis.param)) {
+      fail_key(where + "param", "unknown sweep axis \"" + axis.param +
+                                    "\" for family " + family->name);
+    }
+    if (knob != nullptr && knob->gate.holds != nullptr &&
+        !knob->gate.holds(spec)) {
+      fail_key(where + "param", "axis \"" + axis.param + "\" requires " +
+                                    knob->gate.needs);
+    }
+    // A repeated axis would silently run a different experiment: axes
+    // bind in order, so the later one overwrites the earlier while the
+    // output table still prints the earlier's values as a column.
+    for (std::size_t b = 0; b < a; ++b) {
+      if (spec.axes[b].param == axis.param) {
+        fail_key(where + "param", "duplicate axis \"" + axis.param +
+                                      "\" (also axes[" + std::to_string(b) +
+                                      "])");
+      }
+    }
+    if (axis.values.empty()) fail_key(where + "values", "must be non-empty");
+    if (knob == nullptr) continue;  // a topology parameter
+    // Evaluation-side axis values obey their knob's rule, so a bad value
+    // names its key here instead of erroring mid-sweep (after cache
+    // writes) downstream.
+    const auto check_values = [&](const std::vector<double>& values,
+                                  const char* list_key) {
+      for (const double v : values) {
+        if (!knob->rule.admits(v)) {
+          fail_key(where + list_key, "value " + json_number(v) +
+                                         " invalid for " + axis.param +
+                                         " (want " + knob->rule.want + ")");
+        }
+      }
+    };
+    check_values(axis.values, "values");
+    check_values(axis.full_values, "full_values");
+  }
+  require(spec.quick_runs >= 1,
+          "spec key \"quick_runs\": out of range (want >= 1)");
+  require(spec.full_runs >= 1,
+          "spec key \"full_runs\": out of range (want >= 1)");
+}
 
 const char* traffic_kind_name(TrafficKind kind) {
   switch (kind) {
@@ -328,9 +781,8 @@ ScenarioSpec spec_from_json(const std::string& text) {
   require(root.is_object(), "spec: top level must be a JSON object");
   require_only_keys(root, "",
                     {"name", "description", "topology", "traffic",
-                     "chunky_fraction", "hot_fraction", "hot_multiplier",
-                     "stride", "solver", "failure", "packet_sim", "search",
-                     "axes", "quick_runs", "full_runs", "reuse_topology"});
+                     "solver", "failure", "packet_sim", "search", "axes",
+                     "quick_runs", "full_runs", "reuse_topology"});
 
   ScenarioSpec spec;
   spec.name = get_string(root, "name");
@@ -359,94 +811,9 @@ ScenarioSpec spec_from_json(const std::string& text) {
   if (root.find("solver") != nullptr) {
     spec.solver = solver_mode_from_name(get_string(root, "solver"));
   }
-  spec.chunky_fraction = get_fraction(root, "chunky_fraction", 1.0);
-
-  // Kind-specific traffic knobs: strictly rejected when present for a
-  // different kind, so a dump -> parse -> dump round trip is byte-stable
-  // and a stray knob can't silently do nothing.
-  if (root.find("hot_fraction") != nullptr ||
-      root.find("hot_multiplier") != nullptr) {
-    if (spec.traffic != TrafficKind::kHotspot) {
-      fail_key(root.find("hot_fraction") != nullptr ? "hot_fraction"
-                                                    : "hot_multiplier",
-               "only valid with hotspot traffic");
-    }
-    spec.hot_fraction = get_fraction(root, "hot_fraction", spec.hot_fraction);
-    if (const JsonValue* mult = root.find("hot_multiplier"); mult != nullptr) {
-      if (!mult->is_number()) fail_key("hot_multiplier", "must be a number");
-      if (mult->number < 1.0 || mult->number > 1e6) {
-        fail_key("hot_multiplier", "out of range (want [1, 1e6])");
-      }
-      spec.hot_multiplier = mult->number;
-    }
-  }
-  if (const JsonValue* stride = root.find("stride"); stride != nullptr) {
-    if (spec.traffic != TrafficKind::kStride) {
-      fail_key("stride", "only valid with stride traffic");
-    }
-    if (!stride->is_number()) fail_key("stride", "must be a number");
-    if (stride->number != std::floor(stride->number)) {
-      fail_key("stride", "must be an integer");
-    }
-    if (stride->number == 0 || std::abs(stride->number) > 1e9) {
-      fail_key("stride", "out of range (want non-zero integers in -1e9..1e9)");
-    }
-    spec.stride = static_cast<int>(stride->number);
-  }
-
   if (const JsonValue* failure = root.find("failure"); failure != nullptr) {
     if (!failure->is_object()) fail_key("failure", "must be an object");
-    require_only_keys(*failure, "failure.",
-                      {"link_failure_fraction", "switch_failure_fraction",
-                       "capacity_factor", "blast_switch_fraction",
-                       "blast_probability", "class_failure_fraction",
-                       "targeted_link_cuts"});
-    spec.failure.uniform.link_fraction =
-        get_fraction(*failure, "link_failure_fraction", 0.0);
-    spec.failure.uniform.switch_fraction =
-        get_fraction(*failure, "switch_failure_fraction", 0.0);
-    spec.failure.correlated.epicenter_fraction =
-        get_fraction(*failure, "blast_switch_fraction", 0.0);
-    spec.failure.correlated.peer_probability =
-        get_fraction(*failure, "blast_probability", 0.0);
-    if (const JsonValue* per_class = failure->find("class_failure_fraction");
-        per_class != nullptr) {
-      if (!per_class->is_object()) {
-        fail_key("failure.class_failure_fraction", "must be an object");
-      }
-      for (const auto& [klass, value] : per_class->members) {
-        const std::string where = "failure.class_failure_fraction." + klass;
-        if (klass.empty()) fail_key(where, "class name must be non-empty");
-        if (!value.is_number()) fail_key(where, "must be a number");
-        if (value.number < 0.0 || value.number > 1.0) {
-          fail_key(where, "out of range (want [0, 1])");
-        }
-        spec.failure.per_class.switch_fraction[klass] = value.number;
-      }
-    }
-    if (const JsonValue* cuts = failure->find("targeted_link_cuts");
-        cuts != nullptr) {
-      if (!cuts->is_number()) {
-        fail_key("failure.targeted_link_cuts", "must be a number");
-      }
-      if (cuts->number != std::floor(cuts->number)) {
-        fail_key("failure.targeted_link_cuts", "must be an integer");
-      }
-      if (cuts->number < 0 || cuts->number > 1e9) {
-        fail_key("failure.targeted_link_cuts", "out of range (want 0..1e9)");
-      }
-      spec.failure.targeted.link_cuts = static_cast<int>(cuts->number);
-    }
-    if (const JsonValue* factor = failure->find("capacity_factor");
-        factor != nullptr) {
-      if (!factor->is_number()) {
-        fail_key("failure.capacity_factor", "must be a number");
-      }
-      if (factor->number <= 0.0 || factor->number > 1.0) {
-        fail_key("failure.capacity_factor", "out of range (want (0, 1])");
-      }
-      spec.failure.capacity_factor = factor->number;
-    }
+    require_only_keys(*failure, "failure.", {});
   }
 
   if (const JsonValue* packet = root.find("packet_sim"); packet != nullptr) {
@@ -516,8 +883,7 @@ ScenarioSpec spec_from_json(const std::string& text) {
         fail_key("packet_sim.workload", "must be an object");
       }
       require_only_keys(*workload, "packet_sim.workload.",
-                        {"cdf", "cdf_file", "cdf_table", "load", "pattern",
-                         "fan_in"});
+                        {"cdf", "cdf_file", "cdf_table", "pattern"});
       spec.packet_sim.fct.enabled = true;
       // Three ways to pick the flow-size distribution, mutually
       // exclusive: a registry name ("cdf"), a table file ("cdf_file"),
@@ -562,17 +928,6 @@ ScenarioSpec spec_from_json(const std::string& text) {
         }
         spec.packet_sim.fct.cdf = "custom";
       }
-      if (const JsonValue* load = workload->find("load"); load != nullptr) {
-        if (!load->is_number()) {
-          fail_key("packet_sim.workload.load", "must be a number");
-        }
-        if (load->number <= 0.0 || load->number > 1.0) {
-          fail_key("packet_sim.workload.load", "out of range (want (0, 1])");
-        }
-        spec.packet_sim.fct.load = load->number;
-      }
-      // Pattern before fan_in: the fan-in knob is only meaningful for
-      // incast arrivals, so its gating reads the parsed pattern.
       if (const JsonValue* pattern = workload->find("pattern");
           pattern != nullptr) {
         if (pattern->kind != JsonValue::Kind::kString) {
@@ -580,21 +935,38 @@ ScenarioSpec spec_from_json(const std::string& text) {
         }
         spec.packet_sim.fct.pattern = pattern->text;
       }
-      if (const JsonValue* fan = workload->find("fan_in"); fan != nullptr) {
-        if (spec.packet_sim.fct.pattern != "incast") {
-          fail_key("packet_sim.workload.fan_in",
-                   "only valid with \"pattern\": \"incast\"");
-        }
-        if (!fan->is_number() || fan->number != std::floor(fan->number)) {
-          fail_key("packet_sim.workload.fan_in", "must be an integer");
-        }
-        if (fan->number < 2 || fan->number > 1e6) {
-          fail_key("packet_sim.workload.fan_in", "out of range (want 2..1e6)");
-        }
-        spec.packet_sim.fct.fan_in = static_cast<int>(fan->number);
-      }
     }
   }
+
+  // The evaluation knobs' scalar keys: one walk over the knob table,
+  // after the blocks their gates read (traffic kind, workload pattern).
+  // Each value is checked against its rule before it is bound, so no
+  // out-of-range or fractional number reaches an integer field.
+  EvalOptions knobs = eval_options_for(spec);
+  for (const Knob& knob : knob_table()) {
+    if (knob.path == nullptr) continue;
+    const JsonValue* value = find_path(root, knob.path);
+    if (value == nullptr) continue;
+    if (knob.gate.holds != nullptr && !knob.gate.axis_only &&
+        !knob.gate.holds(spec)) {
+      fail_key(knob.path, std::string("only valid with ") + knob.gate.needs);
+    }
+    if (is_class_knob(knob)) {
+      if (!value->is_object()) fail_key(knob.path, "must be an object");
+      for (const auto& [klass, rate] : value->members) {
+        const std::string where = std::string(knob.path) + "." + klass;
+        if (klass.empty()) fail_key(where, "class name must be non-empty");
+        if (!rate.is_number()) fail_key(where, "must be a number");
+        check_scalar(knob, where, rate.number);
+        knobs.failure.per_class.switch_fraction[klass] = rate.number;
+      }
+      continue;
+    }
+    if (!value->is_number()) fail_key(knob.path, "must be a number");
+    check_scalar(knob, knob.path, value->number);
+    knob.field(knobs).set(value->number);
+  }
+  copy_shared_knobs(spec, knobs);
 
   if (const JsonValue* search = root.find("search"); search != nullptr) {
     if (!search->is_object()) fail_key("search", "must be an object");
@@ -716,311 +1088,6 @@ ScenarioSpec spec_from_json(const std::string& text) {
 
   validate_spec(spec);
   return spec;
-}
-
-void validate_spec(const ScenarioSpec& spec) {
-  require(!spec.name.empty(), "spec key \"name\": must be non-empty");
-  const FamilyInfo* family = find_family(spec.topology.family);
-  if (family == nullptr) {
-    std::string known;
-    for (const FamilyInfo& f : topology_families()) {
-      if (!known.empty()) known += ", ";
-      known += f.name;
-    }
-    fail_key("topology.family", "unknown family \"" + spec.topology.family +
-                                    "\" (known: " + known + ")");
-  }
-  const auto known_param = [&](const std::string& name) {
-    return std::find(family->params.begin(), family->params.end(), name) !=
-           family->params.end();
-  };
-  for (const auto& [name, value] : spec.topology.params) {
-    (void)value;
-    if (!known_param(name)) {
-      fail_key("topology.params." + name,
-               "unknown " + family->name + " parameter");
-    }
-  }
-  // Scalar failure ranges are validated here — not only in the JSON
-  // front end — so programmatic specs get the same loud errors as files
-  // (apply_failures would reject them too, but only mid-sweep).
-  const auto check_fraction = [](const char* key, double value) {
-    if (value < 0.0 || value > 1.0) {
-      fail_key(std::string("failure.") + key, "out of range (want [0, 1])");
-    }
-  };
-  check_fraction("link_failure_fraction", spec.failure.uniform.link_fraction);
-  check_fraction("switch_failure_fraction",
-                 spec.failure.uniform.switch_fraction);
-  check_fraction("blast_switch_fraction",
-                 spec.failure.correlated.epicenter_fraction);
-  check_fraction("blast_probability",
-                 spec.failure.correlated.peer_probability);
-  for (const auto& [klass, fraction] :
-       spec.failure.per_class.switch_fraction) {
-    if (klass.empty()) {
-      fail_key("failure.class_failure_fraction",
-               "class name must be non-empty");
-    }
-    if (fraction < 0.0 || fraction > 1.0) {
-      fail_key("failure.class_failure_fraction." + klass,
-               "out of range (want [0, 1])");
-    }
-  }
-  if (spec.failure.targeted.link_cuts < 0) {
-    fail_key("failure.targeted_link_cuts", "out of range (want >= 0)");
-  }
-  if (spec.failure.capacity_factor <= 0.0 ||
-      spec.failure.capacity_factor > 1.0) {
-    fail_key("failure.capacity_factor", "out of range (want (0, 1])");
-  }
-  if (spec.packet_sim.enabled) {
-    const sim::SimParams& p = spec.packet_sim.params;
-    if (spec.packet_sim.fct.enabled) {
-      if (!spec.packet_sim.fct.custom_cdf.empty()) {
-        validate_flow_size_cdf(spec.packet_sim.fct.custom_cdf,
-                               "packet_sim.workload.cdf_table");
-      } else if (find_flow_size_cdf(spec.packet_sim.fct.cdf) == nullptr) {
-        fail_key("packet_sim.workload.cdf",
-                 "unknown flow-size CDF \"" + spec.packet_sim.fct.cdf +
-                     "\" (known: " + flow_size_cdf_names() + ")");
-      }
-      if (spec.packet_sim.fct.load <= 0.0 || spec.packet_sim.fct.load > 1.0) {
-        fail_key("packet_sim.workload.load", "out of range (want (0, 1])");
-      }
-      if (spec.packet_sim.fct.pattern != "uniform" &&
-          spec.packet_sim.fct.pattern != "incast") {
-        fail_key("packet_sim.workload.pattern",
-                 "unknown workload pattern \"" + spec.packet_sim.fct.pattern +
-                     "\" (known: uniform, incast)");
-      }
-      if (spec.packet_sim.fct.pattern == "incast" &&
-          spec.packet_sim.fct.fan_in < 2) {
-        fail_key("packet_sim.workload.fan_in", "out of range (want >= 2)");
-      }
-    } else if (spec.traffic != TrafficKind::kPermutation &&
-               spec.traffic != TrafficKind::kStride) {
-      fail_key("packet_sim",
-               "requires permutation or stride traffic (the simulator models "
-               "server-to-server unit-demand bulk flows) unless a workload "
-               "block selects the finite-flow FCT mode");
-    }
-    if (p.subflows < 1 || p.subflows > 64) {
-      fail_key("packet_sim.subflows", "out of range (want 1..64)");
-    }
-    if (p.queue_packets < 1) {
-      fail_key("packet_sim.queue_packets", "out of range (want >= 1)");
-    }
-    if (p.packet_bytes < 64) {
-      fail_key("packet_sim.packet_bytes", "out of range (want >= 64)");
-    }
-    if (p.warmup_ns >= p.duration_ns) {
-      fail_key("packet_sim.warmup_ns", "must be below duration_ns");
-    }
-    if (p.server_rate_gbps <= 0.0) {
-      fail_key("packet_sim.server_rate_gbps", "out of range (want > 0)");
-    }
-  }
-  if (spec.search.enabled) {
-    // A spec either sweeps or searches: axes bind sweep points, while the
-    // search block explores a design space at fixed parameters — letting
-    // both through would silently ignore one of them.
-    if (!spec.axes.empty()) {
-      fail_key("search", "incompatible with sweep axes (a spec either "
-                         "sweeps or searches)");
-    }
-    if (spec.search.objective != "throughput_per_cost" &&
-        spec.search.objective != "throughput") {
-      fail_key("search.objective",
-               "unknown objective \"" + spec.search.objective +
-                   "\" (known: throughput_per_cost, throughput)");
-    }
-    if (spec.search.budget < 0) {
-      fail_key("search.budget", "out of range (want >= 0)");
-    }
-    if (spec.search.restarts < 1) {
-      fail_key("search.restarts", "out of range (want >= 1)");
-    }
-    if (spec.search.population < 1) {
-      fail_key("search.population", "out of range (want >= 1)");
-    }
-    if (spec.search.temperature < 0.0) {
-      fail_key("search.temperature", "out of range (want >= 0)");
-    }
-    if (spec.search.moves.empty()) {
-      fail_key("search.moves", "must be non-empty");
-    }
-    for (const std::string& move : spec.search.moves) {
-      if (move != "rewire" && move != "server_shift") {
-        fail_key("search.moves", "unknown move \"" + move +
-                                     "\" (known: rewire, server_shift)");
-      }
-    }
-    const auto check_weight = [](const char* key, double value) {
-      if (value < 0.0) {
-        fail_key(std::string("search.cost.") + key,
-                 "out of range (want >= 0)");
-      }
-    };
-    check_weight("port", spec.search.port_cost);
-    check_weight("cable", spec.search.cable_cost);
-    check_weight("switch", spec.search.switch_cost);
-    for (const auto& [klass, value] : spec.search.class_cost) {
-      if (klass.empty()) {
-        fail_key("search.cost.class", "class name must be non-empty");
-      }
-      if (value < 0.0) {
-        fail_key("search.cost.class." + klass, "out of range (want >= 0)");
-      }
-    }
-    if (spec.search.floor_columns < 1) {
-      fail_key("search.cost.floor_columns", "out of range (want >= 1)");
-    }
-  }
-  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-    const SweepAxis& axis = spec.axes[a];
-    const std::string where = "axes[" + std::to_string(a) + "].";
-    if (axis.param.empty()) fail_key(where + "param", "must be non-empty");
-    if (axis.param == kClassAxisPrefix) {
-      fail_key(where + "param",
-               "class axis needs a class name after \"" + kClassAxisPrefix +
-                   "\" (e.g. " + kClassAxisPrefix + "tor)");
-    }
-    if (!is_eval_axis(axis.param) && !known_param(axis.param)) {
-      fail_key(where + "param", "unknown sweep axis \"" + axis.param +
-                                    "\" for family " + family->name);
-    }
-    // Axes that tune an inactive subsystem would sweep a no-op.
-    if ((axis.param == "load" || axis.param == "cdf") &&
-        !spec.packet_sim.fct.enabled) {
-      fail_key(where + "param",
-               "axis \"" + axis.param +
-                   "\" requires a packet_sim.workload block");
-    }
-    // A "fan_in" axis tunes the incast burst width; without incast
-    // arrivals it would sweep a no-op.
-    if (axis.param == "fan_in" &&
-        (!spec.packet_sim.fct.enabled ||
-         spec.packet_sim.fct.pattern != "incast")) {
-      fail_key(where + "param",
-               "axis \"fan_in\" requires a packet_sim.workload block with "
-               "\"pattern\": \"incast\"");
-    }
-    // A "cdf" axis indexes the registry; a custom table has no index
-    // there, so the combination would silently sweep something else.
-    if (axis.param == "cdf" && !spec.packet_sim.fct.custom_cdf.empty()) {
-      fail_key(where + "param",
-               "axis \"cdf\" cannot be combined with a custom "
-               "cdf_file / cdf_table workload");
-    }
-    if ((axis.param == "hot_fraction" || axis.param == "hot_multiplier") &&
-        spec.traffic != TrafficKind::kHotspot) {
-      fail_key(where + "param",
-               "axis \"" + axis.param + "\" requires hotspot traffic");
-    }
-    if (axis.param == "stride" && spec.traffic != TrafficKind::kStride) {
-      fail_key(where + "param", "axis \"stride\" requires stride traffic");
-    }
-    // A repeated axis would silently run a different experiment: axes
-    // bind in order, so the later one overwrites the earlier while the
-    // output table still prints the earlier's values as a column.
-    for (std::size_t b = 0; b < a; ++b) {
-      if (spec.axes[b].param == axis.param) {
-        fail_key(where + "param", "duplicate axis \"" + axis.param +
-                                      "\" (also axes[" + std::to_string(b) +
-                                      "])");
-      }
-    }
-    if (axis.values.empty()) fail_key(where + "values", "must be non-empty");
-    // Evaluation-side axis values get the same range checks as their
-    // scalar spec counterparts, so a bad value names its key here
-    // instead of erroring mid-sweep (after cache writes) downstream.
-    const auto check_values = [&](const std::vector<double>& values,
-                                  const char* list_key) {
-      const bool unit_fraction =
-          axis.param == "link_failure_fraction" ||
-          axis.param == "switch_failure_fraction" ||
-          axis.param == "blast_switch_fraction" ||
-          axis.param == "blast_probability" ||
-          axis.param.rfind(kClassAxisPrefix, 0) == 0 ||
-          axis.param == "chunky_fraction" ||
-          axis.param == "hot_fraction";
-      for (const double v : values) {
-        if (unit_fraction && (v < 0.0 || v > 1.0)) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " out of range for " + axis.param +
-                                         " (want [0, 1])");
-        }
-        if (axis.param == "targeted_link_cuts" &&
-            (v < 0.0 || v > 1e9 || v != std::floor(v))) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " invalid for targeted_link_cuts "
-                                         "(want integers in 0..1e9)");
-        }
-        if (axis.param == "capacity_factor" && (v <= 0.0 || v > 1.0)) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " out of range for capacity_factor "
-                                         "(want (0, 1])");
-        }
-        if (axis.param == "epsilon" && (v <= 0.0 || v >= 1.0)) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " out of range for epsilon "
-                                         "(want (0, 1))");
-        }
-        if (axis.param == "load" && (v <= 0.0 || v > 1.0)) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " out of range for load "
-                                         "(want (0, 1])");
-        }
-        if (axis.param == "fan_in" &&
-            (v != std::floor(v) || v < 2.0 || v > 1e6)) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " invalid for fan_in "
-                                         "(want integers in 2..1e6)");
-        }
-        if (axis.param == "cdf" &&
-            (v != std::floor(v) || v < 0.0 ||
-             v >= static_cast<double>(flow_size_cdfs().size()))) {
-          fail_key(where + list_key,
-                   "value " + json_number(v) +
-                       " invalid for cdf (want integer indexes into the "
-                       "registered CDFs: " + flow_size_cdf_names() + ")");
-        }
-        if (axis.param == "solver_mode" &&
-            (v != std::floor(v) || (v != 0.0 && v != 1.0))) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " invalid for solver_mode "
-                                         "(want 0 = exact or 1 = approx)");
-        }
-        if (axis.param == "hot_multiplier" && (v < 1.0 || v > 1e6)) {
-          fail_key(where + list_key, "value " + json_number(v) +
-                                         " out of range for hot_multiplier "
-                                         "(want [1, 1e6])");
-        }
-        if (axis.param == "stride" &&
-            (v != std::floor(v) || v == 0.0 || std::abs(v) > 1e9)) {
-          fail_key(where + list_key,
-                   "value " + json_number(v) +
-                       " invalid for stride (want non-zero integers in "
-                       "-1e9..1e9)");
-        }
-      }
-    };
-    check_values(axis.values, "values");
-    check_values(axis.full_values, "full_values");
-  }
-  require(spec.quick_runs >= 1,
-          "spec key \"quick_runs\": out of range (want >= 1)");
-  require(spec.full_runs >= 1,
-          "spec key \"full_runs\": out of range (want >= 1)");
-  require(spec.chunky_fraction >= 0.0 && spec.chunky_fraction <= 1.0,
-          "spec key \"chunky_fraction\": out of range (want [0, 1])");
-  require(spec.hot_fraction >= 0.0 && spec.hot_fraction <= 1.0,
-          "spec key \"hot_fraction\": out of range (want [0, 1])");
-  require(spec.hot_multiplier >= 1.0 && spec.hot_multiplier <= 1e6,
-          "spec key \"hot_multiplier\": out of range (want [1, 1e6])");
-  require(spec.stride != 0,
-          "spec key \"stride\": out of range (want non-zero)");
 }
 
 ScenarioSpec load_spec_file(const std::string& path) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -13,7 +12,6 @@
 #include "scenario/cache.h"
 #include "scenario/spec_io.h"
 #include "scenario/topo_registry.h"
-#include "traffic/workload.h"
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/parallel.h"
@@ -24,52 +22,6 @@ namespace {
 
 const std::vector<double>& axis_values(const SweepAxis& axis, bool full) {
   return full && !axis.full_values.empty() ? axis.full_values : axis.values;
-}
-
-// Applies one sweep coordinate to the topology params or the eval options.
-void bind_coord(const std::string& name, double value, ParamMap& params,
-                EvalOptions& options) {
-  if (name == "link_failure_fraction") {
-    options.failure.uniform.link_fraction = value;
-  } else if (name == "switch_failure_fraction") {
-    options.failure.uniform.switch_fraction = value;
-  } else if (name == "blast_switch_fraction") {
-    options.failure.correlated.epicenter_fraction = value;
-  } else if (name == "blast_probability") {
-    options.failure.correlated.peer_probability = value;
-  } else if (name == "targeted_link_cuts") {
-    options.failure.targeted.link_cuts = static_cast<int>(std::llround(value));
-  } else if (name.rfind(kClassAxisPrefix, 0) == 0) {
-    options.failure.per_class
-        .switch_fraction[name.substr(kClassAxisPrefix.size())] = value;
-  } else if (name == "capacity_factor") {
-    options.failure.capacity_factor = value;
-  } else if (name == "chunky_fraction") {
-    options.chunky_fraction = value;
-  } else if (name == "hot_fraction") {
-    options.hot_fraction = value;
-  } else if (name == "hot_multiplier") {
-    options.hot_multiplier = value;
-  } else if (name == "stride") {
-    options.stride = static_cast<int>(std::llround(value));
-  } else if (name == "load") {
-    options.packet_sim.fct.load = value;
-  } else if (name == "fan_in") {
-    options.packet_sim.fct.fan_in = static_cast<int>(std::llround(value));
-  } else if (name == "cdf") {
-    // The axis value is an integer index into flow_size_cdfs(); binding
-    // resolves it to the registered name (validate_spec range-checks it).
-    options.packet_sim.fct.cdf =
-        flow_size_cdfs()[static_cast<std::size_t>(std::llround(value))].name;
-  } else if (name == "epsilon") {
-    options.flow.epsilon = value;
-  } else if (name == "solver_mode") {
-    // 0 = exact, 1 = approx (validate_spec range-checks the values).
-    options.flow.mode = std::llround(value) == 1 ? SolverMode::kApprox
-                                                 : SolverMode::kExact;
-  } else {
-    params[name] = value;
-  }
 }
 
 // The resolved inputs of one (point, run) cell — exactly what its result
@@ -140,18 +92,6 @@ StripeMode stripe_mode_from_name(const std::string& name) {
   if (name == "range") return StripeMode::kRange;
   throw InvalidArgument("unknown stripe mode: " + name +
                         " (expected round-robin or range)");
-}
-
-bool is_eval_axis(const std::string& param) {
-  return param == "link_failure_fraction" ||
-         param == "switch_failure_fraction" ||
-         param == "blast_switch_fraction" || param == "blast_probability" ||
-         param == "targeted_link_cuts" ||
-         param.rfind(kClassAxisPrefix, 0) == 0 ||
-         param == "capacity_factor" || param == "chunky_fraction" ||
-         param == "hot_fraction" || param == "hot_multiplier" ||
-         param == "stride" || param == "load" || param == "fan_in" ||
-         param == "cdf" || param == "epsilon" || param == "solver_mode";
 }
 
 std::vector<std::vector<double>> SweepRunner::enumerate_points() const {
@@ -245,26 +185,19 @@ SweepResult SweepRunner::run() const {
     const int run_index = index % runs;
     CellPlan plan;
     plan.params = spec.topology.params;
-    plan.options.flow.epsilon = config_.epsilon;
     // Spec-level solver mode, then the CLI override, then (below) any
     // "solver_mode" axis — later binders win.
-    plan.options.flow.mode = spec.solver;
+    plan.options = eval_options_for(spec);
+    plan.options.flow.epsilon = config_.epsilon;
     if (!config_.solver_override.empty()) {
       plan.options.flow.mode = config_.solver_override == "approx"
                                    ? SolverMode::kApprox
                                    : SolverMode::kExact;
     }
-    plan.options.traffic = spec.traffic;
-    plan.options.chunky_fraction = spec.chunky_fraction;
-    plan.options.hot_fraction = spec.hot_fraction;
-    plan.options.hot_multiplier = spec.hot_multiplier;
-    plan.options.stride = spec.stride;
-    plan.options.failure = spec.failure;
-    plan.options.packet_sim = spec.packet_sim;
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-      bind_coord(spec.axes[a].param,
-                 points[static_cast<std::size_t>(point)][a], plan.params,
-                 plan.options);
+      bind_axis(spec.axes[a].param,
+                points[static_cast<std::size_t>(point)][a], plan.params,
+                plan.options);
     }
     const std::uint64_t seed_base =
         reuse ? config_.master_seed

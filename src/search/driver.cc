@@ -44,16 +44,9 @@ class CandidateEvaluator {
         opts_(opts),
         model_(CostWeights{spec.search.port_cost, spec.search.cable_cost,
                            spec.search.switch_cost, spec.search.class_cost,
-                           spec.search.floor_columns}) {
+                           spec.search.floor_columns}),
+        options_(scenario::eval_options_for(spec)) {
     options_.flow.epsilon = opts.epsilon;
-    options_.flow.mode = spec.solver;
-    options_.traffic = spec.traffic;
-    options_.chunky_fraction = spec.chunky_fraction;
-    options_.hot_fraction = spec.hot_fraction;
-    options_.hot_multiplier = spec.hot_multiplier;
-    options_.stride = spec.stride;
-    options_.failure = spec.failure;
-    options_.packet_sim = spec.packet_sim;
     traffic_seeds_.reserve(static_cast<std::size_t>(opts.runs));
     for (int r = 0; r < opts.runs; ++r) {
       traffic_seeds_.push_back(Rng::derive_seed(

@@ -12,8 +12,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "scenario/cache.h"
 #include "scenario/scenario.h"
@@ -337,6 +340,12 @@ TEST(SpecErrors, TrafficKnobsRequireTheirKind) {
       R"({"name": "x", "topology": {"family": "random_regular"},
           "axes": [{"param": "stride", "values": [1, 2]}]})",
       "stride");
+  // A chunky_fraction axis under any other traffic would sweep a no-op
+  // (while giving every point its own cache address).
+  expect_spec_error(
+      R"({"name": "x", "topology": {"family": "random_regular"},
+          "axes": [{"param": "chunky_fraction", "values": [0.1, 0.5]}]})",
+      "requires chunky traffic");
 }
 
 TEST(SpecErrors, FctWorkloadKeysAreValidated) {
@@ -561,6 +570,130 @@ TEST(SpecErrors, DuplicateAxesAndOutOfRangeAxisValuesAreNamed) {
       R"({"name": "x", "topology": {"family": "random_regular"},
           "axes": [{"param": "epsilon", "values": [1]}]})",
       "axes[0].values");
+}
+
+// One rule per scalar knob: a programmatic spec that validate_spec
+// accepts also survives its own dump -> parse round trip, and a value
+// just outside a bound is rejected by validate_spec and by the parser
+// alike, naming the same key.
+TEST(SpecErrors, ScalarKnobBoundsAgreeBetweenValidatorAndParser) {
+  struct KnobCase {
+    const char* key;
+    // Stores the value, and selects the traffic or workload the knob
+    // needs.
+    std::function<void(ScenarioSpec&, double)> set;
+    std::vector<double> inside;
+    std::vector<double> outside;
+  };
+  const double below0 = std::nextafter(0.0, -1.0);
+  const double above1 = std::nextafter(1.0, 2.0);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const auto fct = [](ScenarioSpec& s) {
+    s.packet_sim.enabled = true;
+    s.packet_sim.fct.enabled = true;
+  };
+  const std::vector<KnobCase> cases = {
+      {"failure.link_failure_fraction",
+       [](ScenarioSpec& s, double v) { s.failure.uniform.link_fraction = v; },
+       {0.0, 1.0}, {below0, above1}},
+      {"failure.switch_failure_fraction",
+       [](ScenarioSpec& s, double v) {
+         s.failure.uniform.switch_fraction = v;
+       },
+       {0.0, 1.0}, {below0, above1}},
+      {"failure.blast_switch_fraction",
+       [](ScenarioSpec& s, double v) {
+         s.failure.correlated.epicenter_fraction = v;
+       },
+       {0.0, 1.0}, {below0, above1}},
+      {"failure.blast_probability",
+       [](ScenarioSpec& s, double v) {
+         s.failure.correlated.peer_probability = v;
+       },
+       {0.0, 1.0}, {below0, above1}},
+      {"failure.class_failure_fraction.tor",
+       [](ScenarioSpec& s, double v) {
+         s.failure.per_class.switch_fraction["tor"] = v;
+       },
+       {0.0, 1.0}, {below0, above1}},
+      {"failure.targeted_link_cuts",
+       [](ScenarioSpec& s, double v) {
+         s.failure.targeted.link_cuts = static_cast<int>(v);
+       },
+       {0.0, 1e9}, {-1.0, 1e9 + 1}},
+      {"failure.capacity_factor",
+       [](ScenarioSpec& s, double v) { s.failure.capacity_factor = v; },
+       {tiny, 1.0}, {0.0, above1}},
+      {"chunky_fraction",
+       [](ScenarioSpec& s, double v) { s.chunky_fraction = v; },
+       {0.0, 1.0}, {below0, above1}},
+      {"hot_fraction",
+       [](ScenarioSpec& s, double v) {
+         s.traffic = TrafficKind::kHotspot;
+         s.hot_fraction = v;
+       },
+       {0.0, 1.0}, {below0, above1}},
+      {"hot_multiplier",
+       [](ScenarioSpec& s, double v) {
+         s.traffic = TrafficKind::kHotspot;
+         s.hot_multiplier = v;
+       },
+       {1.0, 1e6}, {std::nextafter(1.0, 0.0), std::nextafter(1e6, 2e6)}},
+      {"stride",
+       [](ScenarioSpec& s, double v) {
+         s.traffic = TrafficKind::kStride;
+         s.stride = static_cast<int>(v);
+       },
+       {-1e9, -1.0, 1.0, 1e9}, {-1e9 - 1, 0.0, 1e9 + 1}},
+      {"packet_sim.workload.load",
+       [&](ScenarioSpec& s, double v) {
+         fct(s);
+         s.packet_sim.fct.load = v;
+       },
+       {tiny, 1.0}, {0.0, above1}},
+      {"packet_sim.workload.fan_in",
+       [&](ScenarioSpec& s, double v) {
+         fct(s);
+         s.packet_sim.fct.pattern = "incast";
+         s.packet_sim.fct.fan_in = static_cast<int>(v);
+       },
+       {2.0, 1e6}, {1.0, 1e6 + 1}},
+  };
+  const ScenarioSpec base = spec_from_json(R"({
+    "name": "bounds",
+    "topology": {"family": "random_regular",
+                 "params": {"n": 12, "ports": 6, "degree": 4}}
+  })");
+  const auto error_of = [](const std::function<void()>& action) {
+    try {
+      action();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const KnobCase& knob : cases) {
+    SCOPED_TRACE(knob.key);
+    const std::string names_key = std::string("\"") + knob.key + "\"";
+    for (const double v : knob.inside) {
+      SCOPED_TRACE(v);
+      ScenarioSpec spec = base;
+      knob.set(spec, v);
+      EXPECT_NO_THROW(validate_spec(spec));
+      const std::string once = spec_to_json(spec);
+      EXPECT_NO_THROW(EXPECT_EQ(spec_to_json(spec_from_json(once)), once));
+    }
+    for (const double v : knob.outside) {
+      SCOPED_TRACE(v);
+      ScenarioSpec spec = base;
+      knob.set(spec, v);
+      const std::string json = spec_to_json(spec);
+      EXPECT_NE(error_of([&] { validate_spec(spec); }).find(names_key),
+                std::string::npos);
+      EXPECT_NE(error_of([&] { (void)spec_from_json(json); }).find(names_key),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(SpecErrors, StructuralMistakesFailLoudly) {
