@@ -8,6 +8,7 @@
 #include "bounds/bounds.h"
 #include "flow/concurrent_flow.h"
 #include "lp/mcf_lp.h"
+#include "topo/het_random.h"
 #include "topo/random_regular.h"
 #include "traffic/traffic.h"
 #include "util/rng.h"
@@ -139,6 +140,87 @@ TEST(ConcurrentFlow, ShortestPathRestrictedSolveIsPinnedBitwise) {
   EXPECT_EQ(bits(r.lambda), bits(0x1.22e45b8523539p-2)) << r.lambda;
   EXPECT_EQ(bits(r.dual_bound), bits(0x1.320d71faecfbap-2)) << r.dual_bound;
   EXPECT_EQ(r.phases, 141);
+}
+
+// FNV-1a over the IEEE-754 bit patterns of every arc flow.
+std::uint64_t arc_flow_digest(const std::vector<double>& arc_flow) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const double flow : arc_flow) {
+    const auto bits = std::bit_cast<std::uint64_t>(flow);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+// No golden table runs the approx solver, so these fixed-seed solves pin
+// its output bit for bit: the search benchmark's RRG(32, 12, 8), the
+// two-type 480-server pool, hop-restricted routing, and an instance whose
+// lengths cross the 1e200 overflow guard (demands 20x the link capacity:
+// at epsilon 0.08 and 0.05 it never rescales, at 0.03 it does once). The
+// values were recorded with the per-group dual Dijkstras; the dual pass
+// must reproduce them whatever computes its distances.
+TEST(ConcurrentFlow, ApproxSolveIsPinnedBitwise) {
+  struct Pinned {
+    const char* name;
+    double lambda;
+    double dual_bound;
+    int phases;
+    std::uint64_t arc_flow_digest;
+  };
+  const auto permutation = [](const BuiltTopology& t, std::uint64_t seed) {
+    Rng rng(seed);
+    return aggregate_to_commodities(random_permutation_traffic(t.servers, rng),
+                                    t.servers);
+  };
+  const auto check = [](const Graph& g,
+                        const std::vector<Commodity>& commodities,
+                        FlowOptions options, const Pinned& pinned) {
+    SCOPED_TRACE(pinned.name);
+    options.mode = SolverMode::kApprox;
+    const ThroughputResult r = max_concurrent_flow(g, commodities, options);
+    ASSERT_TRUE(r.feasible);
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    EXPECT_EQ(bits(r.lambda), bits(pinned.lambda)) << r.lambda;
+    EXPECT_EQ(bits(r.dual_bound), bits(pinned.dual_bound)) << r.dual_bound;
+    EXPECT_EQ(r.phases, pinned.phases);
+    EXPECT_EQ(arc_flow_digest(r.arc_flow), pinned.arc_flow_digest);
+  };
+
+  const BuiltTopology rrg = random_regular_topology(32, 12, 8, 7);
+  check(rrg.graph, permutation(rrg, 8), {},
+        {"rrg32", 0x1.c4bbadaf54c8ep-1, 0x1.ebb9add50d835p-1, 275,
+         0x555c837e25988b9eULL});
+  FlowOptions restricted;
+  restricted.restrict_to_shortest_paths = true;
+  check(rrg.graph, permutation(rrg, 8), restricted,
+        {"rrg32_restricted", 0x1.5454545454545p-2, 0x1.71e233c296528p-2, 113,
+         0x00c61197c22df512ULL});
+
+  TwoTypeSpec pool;
+  pool.num_large = 20;
+  pool.num_small = 30;
+  pool.large_ports = 30;
+  pool.small_ports = 20;
+  const BuiltTopology two_type =
+      build_two_type(with_server_split(pool, 480, 1.0), 11);
+  check(two_type.graph, permutation(two_type, 12), {},
+        {"two_type_480", 0x1.9191919191919p-1, 0x1.b407c1bbe98cep-1, 240,
+         0xa93c04f2f7897fd6ULL});
+
+  const Graph small = random_regular_graph(12, 3, 21);
+  Rng rng(8);
+  std::vector<Commodity> heavy;
+  for (int i = 0; i < 12; ++i) {
+    heavy.push_back({i, (i + 5) % 12, 20.0 * (1.0 + rng.uniform())});
+  }
+  FlowOptions rescaling;
+  rescaling.epsilon = 0.03;
+  check(small, heavy, rescaling,
+        {"rescaled", 0x1.236ce80ce24f6p-5, 0x1.3ec51a821dcccp-5, 1345,
+         0xd369f489fedb26c7ULL});
 }
 
 // Cross-validation against the exact LP over random instances.
