@@ -9,15 +9,15 @@
 // scheduling changed), exiting non-zero on mismatch so CI catches drift.
 //
 // Also times the approximate solver mode (SolverMode::kApprox: warm
-// trees, batched-parallel routing, bucketed dual Dijkstras) against
-// exact mode on every instance, asserting the approx lambda stays within
-// the epsilon-scaled tolerance of the exact certificate whenever both
-// runs converged. A multithread section re-runs the whole suite in child
-// processes at other pool widths (the pool is sized once per process, so
-// a different width needs a fresh process) and asserts both modes
-// reproduce this process's lambdas bit for bit — exact because it is
-// single-threaded arithmetic, approx because its batched rounds are
-// deterministic for any thread count.
+// trees, batched-parallel routing, a dual bound every second phase)
+// against exact mode on every instance, asserting the approx lambda
+// stays within the epsilon-scaled tolerance of the exact certificate
+// whenever both runs converged. A multithread section re-runs the whole
+// suite in child processes at other pool widths (the pool is sized once
+// per process, so a different width needs a fresh process) and asserts
+// both modes reproduce this process's lambdas bit for bit — exact
+// because it is single-threaded arithmetic, approx because its batched
+// rounds are deterministic for any thread count.
 //
 // Flags:
 //   --smoke        CI mode: small instances, single repetition

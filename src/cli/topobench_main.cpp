@@ -84,11 +84,12 @@ void print_usage() {
       "recomputing nothing. See examples/shard_merge_demo.sh.\n"
       "\n"
       "Solver modes (README \"Solver modes\"): --solver approx opts a\n"
-      "sweep into the warm-started, batched-parallel FPTAS with bucketed\n"
-      "dual Dijkstras — typically 1.5-3x faster on RRG-class sweeps at\n"
-      "the same certified epsilon, deterministic for any --threads, but\n"
-      "numerically different from exact mode (approx cells cache under\n"
-      "their own addresses; exact cells and goldens are untouched). A\n"
+      "sweep into the warm-started, batched-parallel FPTAS — faster than\n"
+      "exact only when one solve gets several threads (README has the\n"
+      "measurements), same certified epsilon, deterministic for any\n"
+      "--threads, but numerically different from exact mode (approx\n"
+      "cells cache under their own addresses; exact cells and goldens\n"
+      "are untouched). A\n"
       "spec-level \"solver\" key or a \"solver_mode\" axis does the same\n"
       "per spec / per point.\n"
       "\n"

@@ -23,7 +23,7 @@
 //
 // The hot path runs on a flat CSR arc graph with pooled workspaces
 // (src/graph/shortest_path.h): no per-call allocation, and routing
-// Dijkstras bounded by each group's destinations. In exact mode the dual
+// Dijkstras bounded by each group's destinations. In both modes the dual
 // bound's distances come from one multi-source sweep per fixed-size block
 // of source groups (MultiSourceWorkspace), which is bit-identical to a
 // Dijkstra per group; the blocks and the reachability pre-pass are
@@ -48,15 +48,17 @@ enum class SolverMode {
   /// The bit-exact reference path: serial phases, results frozen by the
   /// perf_microbench baseline guard and the golden tables. Default.
   kExact,
-  /// The approximate fast path: warm-started per-group shortest-path
-  /// trees carried across phases, source groups routed in deterministic
-  /// batched rounds against a snapshot of the length function (parallel
-  /// across the thread pool, applied in group order), and Dial-bucketed
-  /// dual-bound Dijkstras while the length spread is narrow. Still a
-  /// certified (1-epsilon)-approximation — the primal is feasible by
-  /// construction and the dual bound holds for any lengths — but the
-  /// phase trajectory differs from exact mode, so lambda may differ
-  /// within the epsilon tolerance. Deterministic for any thread count.
+  /// The approximate path: warm-started per-group shortest-path trees
+  /// carried across phases, source groups routed in deterministic batched
+  /// rounds against a snapshot of the length function (parallel across
+  /// the thread pool, applied in group order), and the dual bound on every
+  /// second phase. Still a certified (1-epsilon)-approximation — the
+  /// primal is feasible by construction and the dual bound holds for any
+  /// lengths — but the phase trajectory differs from exact mode, so lambda
+  /// may differ within the epsilon tolerance. Deterministic for any thread
+  /// count. Not reliably faster than exact: its gain comes from routing
+  /// rounds spread over the pool, so on one thread it can be the slower
+  /// mode (README, "Solver modes", has measurements).
   kApprox,
 };
 

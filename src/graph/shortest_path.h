@@ -22,7 +22,7 @@
 //    reproducible across implementations.
 //  * MultiSourceWorkspace — distances from many sources at once by
 //    label-correcting sweeps over lane-major rows, one SIMD lane per
-//    source: the solver's exact-mode dual bound, which needs distances
+//    source: the solver's dual bound in both modes, which needs distances
 //    only, bit-identical to per-source Dijkstra.
 //  * BfsWorkspace — generation-stamped hop distances with a reusable
 //    frontier queue.
@@ -98,32 +98,13 @@ class DijkstraWorkspace {
                  const NodeId* targets = nullptr, int num_targets = 0);
 
   /// As run_slots, but records no parent arcs: cheaper, for callers that
-  /// need only distances (e.g. the approx solver's dual bound, through
-  /// run_distances_bucketed's fallback). Distances are identical to
-  /// run_slots — they are independent of tie handling and of parent
-  /// bookkeeping. parent_arc()/extract_path() are meaningless after this
-  /// variant.
+  /// need only distances (it is the reference MultiSourceWorkspace is
+  /// tested against). Distances are identical to run_slots — they are
+  /// independent of tie handling and of parent bookkeeping.
+  /// parent_arc()/extract_path() are meaningless after this variant.
   void run_distances(const ArcGraph& arcs, const double* slot_length,
                      NodeId src, const std::vector<int>* dag_hops = nullptr,
                      const NodeId* targets = nullptr, int num_targets = 0);
-
-  /// As run_distances, but relaxes through a Dial-style circular bucket
-  /// queue of width `min_length` instead of the heap — O(1) decrease-key
-  /// and pop while the arc-length distribution is narrow (the solver's
-  /// early phases, where every length is still ~1/capacity). The caller
-  /// passes a lower/upper bound on the active slot lengths; when the
-  /// ratio is too wide for a compact bucket array (or min_length is not a
-  /// positive finite bound) the call falls back to the heap run_distances
-  /// transparently. Distances agree with run_distances up to bucket-
-  /// boundary rounding (settled nodes ignore late sub-ulp improvements),
-  /// and the run is sequential, so results are deterministic for any
-  /// thread count.
-  void run_distances_bucketed(const ArcGraph& arcs, const double* slot_length,
-                              NodeId src, double min_length,
-                              double max_length,
-                              const std::vector<int>* dag_hops = nullptr,
-                              const NodeId* targets = nullptr,
-                              int num_targets = 0);
 
   /// Convenience overload taking lengths addressed by arc id; mirrors
   /// them into a scratch slot array (O(num_arcs)) and calls run_slots.
@@ -172,11 +153,6 @@ class DijkstraWorkspace {
   void run_impl(const ArcGraph& arcs, const double* slot_length, NodeId src,
                 const std::vector<int>* dag_hops, const NodeId* targets,
                 int num_targets);
-  template <bool kUseDag>
-  void bucketed_impl(const ArcGraph& arcs, const double* slot_length,
-                     NodeId src, double width, std::size_t num_buckets,
-                     const std::vector<int>* dag_hops, const NodeId* targets,
-                     int num_targets);
   /// Resets the previous run's touched distances and grows buffers.
   void begin_run(int num_nodes);
   void heap_insert_or_decrease(NodeId v, double key);
@@ -191,8 +167,6 @@ class DijkstraWorkspace {
   std::vector<HeapEntry> heap_;  // heap slots -> packed (dist, node)
   std::vector<int> heap_pos_;    // node -> heap slot while queued
   std::vector<double> scratch_slot_length_;  // for the per-arc overload
-  std::vector<std::vector<NodeId>> buckets_;  // circular Dial queue
-  std::vector<std::uint32_t> settled_stamp_;  // bucket runs: node finalized
   int heap_size_ = 0;
   std::uint32_t generation_ = 0;
 };
