@@ -238,13 +238,64 @@ const Knob* find_knob(const std::string& param) {
   return nullptr;
 }
 
-// A scalar knob value outside its rule fails naming `key`, with the same
+// A scalar value outside its rule fails naming `key`, with the same
 // words from the parser and from validate_spec.
-void check_scalar(const Knob& knob, const std::string& key, double value) {
-  if (knob.rule.admits(value)) return;
-  fail_key(key, knob.rule.integer && value != std::floor(value)
+void check_rule(const ValueRule& rule, const std::string& key, double value) {
+  if (rule.admits(value)) return;
+  fail_key(key, rule.integer && value != std::floor(value)
                     ? "must be an integer"
-                    : "out of range (want " + knob.rule.want + ")");
+                    : "out of range (want " + rule.want + ")");
+}
+
+// ---- The bounds of the spec's other numeric scalars (packet_sim,
+// ---- search, run counts), one row per key. The parser and validate_spec
+// ---- both check through check_bounded, so a spec that validates also
+// ---- survives its own dump -> parse round trip.
+
+ValueRule integer_range(double lo, double hi) {
+  return {.lo = lo, .hi = hi, .integer = true,
+          .want = json_number(lo) + ".." + json_number(hi)};
+}
+
+const std::vector<std::pair<std::string, ValueRule>>& bounds_table() {
+  static const std::vector<std::pair<std::string, ValueRule>> table = [] {
+    const ValueRule weight{.hi = 1e9, .want = "[0, 1e9]"};
+    return std::vector<std::pair<std::string, ValueRule>>{
+        {"packet_sim.subflows", integer_range(1, 64)},
+        {"packet_sim.queue_packets", integer_range(1, 1e6)},
+        {"packet_sim.packet_bytes", integer_range(64, 65535)},
+        {"packet_sim.duration_ns", integer_range(1, 1e12)},
+        {"packet_sim.warmup_ns", integer_range(0, 1e12)},
+        {"packet_sim.start_jitter_ns", integer_range(0, 1e12)},
+        {"packet_sim.link_delay_ns", integer_range(1, 4e9)},
+        {"packet_sim.server_rate_gbps",
+         {.hi = 1e6, .lo_open = true, .want = "(0, 1e6]"}},
+        {"search.budget", integer_range(0, 1e6)},
+        {"search.restarts", integer_range(1, 1e4)},
+        {"search.population", integer_range(1, 1e4)},
+        {"search.temperature", {.hi = 1e6, .want = "[0, 1e6]"}},
+        {"search.cost.port", weight},
+        {"search.cost.cable", weight},
+        {"search.cost.switch", weight},
+        {"search.cost.class", weight},  // each class's "search.cost.class.<c>"
+        {"search.cost.floor_columns", integer_range(1, 1e6)},
+        {"quick_runs", integer_range(1, 1e6)},
+        {"full_runs", integer_range(1, 1e6)},
+    };
+  }();
+  return table;
+}
+
+// Checks `value` against the row of `key` ("search.cost.class.<c>" reads
+// the "search.cost.class" row).
+void check_bounded(const std::string& key, double value) {
+  const std::string row = key.rfind("search.cost.class.", 0) == 0
+                              ? std::string("search.cost.class")
+                              : key;
+  for (const auto& [name, rule] : bounds_table()) {
+    if (name == row) return check_rule(rule, key, value);
+  }
+  throw InvalidArgument("no bounds declared for spec key \"" + key + "\"");
 }
 
 // ScenarioSpec and EvalOptions name the evaluation fields they share
@@ -315,15 +366,16 @@ std::string get_string(const JsonValue& object, const std::string& key) {
       .text;
 }
 
-int get_run_count(const JsonValue& object, const std::string& key,
-                  int fallback) {
+// The number at `where` + `key` below `object`, checked against its
+// bounds_table() row; `fallback` when the key is absent.
+double get_bounded(const JsonValue& object, const std::string& where,
+                   const char* key, double fallback) {
   const JsonValue* value = object.find(key);
   if (value == nullptr) return fallback;
-  if (value->kind != JsonValue::Kind::kNumber) fail_key(key, "must be a number");
-  const double number = value->number;
-  if (number != std::floor(number)) fail_key(key, "must be an integer");
-  if (number < 1 || number > 1e6) fail_key(key, "out of range (want 1..1e6)");
-  return static_cast<int>(number);
+  const std::string path = where + key;
+  if (!value->is_number()) fail_key(path, "must be a number");
+  check_bounded(path, value->number);
+  return value->number;
 }
 
 std::vector<double> get_number_list(const JsonValue& object,
@@ -404,10 +456,11 @@ void validate_spec(const ScenarioSpec& spec) {
       for (const auto& [klass, fraction] :
            spec.failure.per_class.switch_fraction) {
         if (klass.empty()) fail_key(knob.path, "class name must be non-empty");
-        check_scalar(knob, std::string(knob.path) + "." + klass, fraction);
+        check_rule(knob.rule, std::string(knob.path) + "." + klass,
+                   fraction);
       }
     } else if (knob.path != nullptr) {
-      check_scalar(knob, knob.path, knob.field(knobs).get());
+      check_rule(knob.rule, knob.path, knob.field(knobs).get());
     }
   }
   if (spec.packet_sim.enabled) {
@@ -434,20 +487,19 @@ void validate_spec(const ScenarioSpec& spec) {
                "server-to-server unit-demand bulk flows) unless a workload "
                "block selects the finite-flow FCT mode");
     }
-    if (p.subflows < 1 || p.subflows > 64) {
-      fail_key("packet_sim.subflows", "out of range (want 1..64)");
-    }
-    if (p.queue_packets < 1) {
-      fail_key("packet_sim.queue_packets", "out of range (want >= 1)");
-    }
-    if (p.packet_bytes < 64) {
-      fail_key("packet_sim.packet_bytes", "out of range (want >= 64)");
-    }
+    check_bounded("packet_sim.subflows", p.subflows);
+    check_bounded("packet_sim.queue_packets", p.queue_packets);
+    check_bounded("packet_sim.packet_bytes", p.packet_bytes);
+    check_bounded("packet_sim.duration_ns",
+                  static_cast<double>(p.duration_ns));
+    check_bounded("packet_sim.warmup_ns", static_cast<double>(p.warmup_ns));
+    check_bounded("packet_sim.start_jitter_ns",
+                  static_cast<double>(p.start_jitter_ns));
+    check_bounded("packet_sim.link_delay_ns",
+                  static_cast<double>(p.link_delay_ns));
+    check_bounded("packet_sim.server_rate_gbps", p.server_rate_gbps);
     if (p.warmup_ns >= p.duration_ns) {
       fail_key("packet_sim.warmup_ns", "must be below duration_ns");
-    }
-    if (p.server_rate_gbps <= 0.0) {
-      fail_key("packet_sim.server_rate_gbps", "out of range (want > 0)");
     }
   }
   if (spec.search.enabled) {
@@ -464,18 +516,10 @@ void validate_spec(const ScenarioSpec& spec) {
                "unknown objective \"" + spec.search.objective +
                    "\" (known: throughput_per_cost, throughput)");
     }
-    if (spec.search.budget < 0) {
-      fail_key("search.budget", "out of range (want >= 0)");
-    }
-    if (spec.search.restarts < 1) {
-      fail_key("search.restarts", "out of range (want >= 1)");
-    }
-    if (spec.search.population < 1) {
-      fail_key("search.population", "out of range (want >= 1)");
-    }
-    if (spec.search.temperature < 0.0) {
-      fail_key("search.temperature", "out of range (want >= 0)");
-    }
+    check_bounded("search.budget", spec.search.budget);
+    check_bounded("search.restarts", spec.search.restarts);
+    check_bounded("search.population", spec.search.population);
+    check_bounded("search.temperature", spec.search.temperature);
     if (spec.search.moves.empty()) {
       fail_key("search.moves", "must be non-empty");
     }
@@ -485,26 +529,16 @@ void validate_spec(const ScenarioSpec& spec) {
                                      "\" (known: rewire, server_shift)");
       }
     }
-    const auto check_weight = [](const char* key, double value) {
-      if (value < 0.0) {
-        fail_key(std::string("search.cost.") + key,
-                 "out of range (want >= 0)");
-      }
-    };
-    check_weight("port", spec.search.port_cost);
-    check_weight("cable", spec.search.cable_cost);
-    check_weight("switch", spec.search.switch_cost);
+    check_bounded("search.cost.port", spec.search.port_cost);
+    check_bounded("search.cost.cable", spec.search.cable_cost);
+    check_bounded("search.cost.switch", spec.search.switch_cost);
     for (const auto& [klass, value] : spec.search.class_cost) {
       if (klass.empty()) {
         fail_key("search.cost.class", "class name must be non-empty");
       }
-      if (value < 0.0) {
-        fail_key("search.cost.class." + klass, "out of range (want >= 0)");
-      }
+      check_bounded("search.cost.class." + klass, value);
     }
-    if (spec.search.floor_columns < 1) {
-      fail_key("search.cost.floor_columns", "out of range (want >= 1)");
-    }
+    check_bounded("search.cost.floor_columns", spec.search.floor_columns);
   }
   for (std::size_t a = 0; a < spec.axes.size(); ++a) {
     const SweepAxis& axis = spec.axes[a];
@@ -553,10 +587,8 @@ void validate_spec(const ScenarioSpec& spec) {
     check_values(axis.values, "values");
     check_values(axis.full_values, "full_values");
   }
-  require(spec.quick_runs >= 1,
-          "spec key \"quick_runs\": out of range (want >= 1)");
-  require(spec.full_runs >= 1,
-          "spec key \"full_runs\": out of range (want >= 1)");
+  check_bounded("quick_runs", spec.quick_runs);
+  check_bounded("full_runs", spec.full_runs);
 }
 
 const char* traffic_kind_name(TrafficKind kind) {
@@ -825,48 +857,24 @@ ScenarioSpec spec_from_json(const std::string& text) {
                        "route_mode", "workload"});
     spec.packet_sim.enabled = true;
     sim::SimParams& p = spec.packet_sim.params;
-    // Integer knobs share one strict extractor; each is optional and
-    // falls back to the SimParams default.
-    const auto get_integer = [&](const char* key, double fallback,
-                                 double lo, double hi) {
-      const JsonValue* value = packet->find(key);
-      if (value == nullptr) return fallback;
-      const std::string where = std::string("packet_sim.") + key;
-      if (!value->is_number()) fail_key(where, "must be a number");
-      if (value->number != std::floor(value->number)) {
-        fail_key(where, "must be an integer");
-      }
-      if (value->number < lo || value->number > hi) {
-        fail_key(where, "out of range (want " + json_number(lo) + ".." +
-                            json_number(hi) + ")");
-      }
-      return value->number;
+    // Each numeric key is optional and falls back to the SimParams default.
+    const auto get_number = [&](const char* key, double fallback) {
+      return get_bounded(*packet, "packet_sim.", key, fallback);
     };
-    p.subflows = static_cast<int>(
-        get_integer("subflows", p.subflows, 1, 64));
-    p.queue_packets = static_cast<int>(
-        get_integer("queue_packets", p.queue_packets, 1, 1e6));
-    p.packet_bytes = static_cast<int>(
-        get_integer("packet_bytes", p.packet_bytes, 64, 65535));
-    p.duration_ns = static_cast<sim::SimTime>(get_integer(
-        "duration_ns", static_cast<double>(p.duration_ns), 1, 1e12));
-    p.warmup_ns = static_cast<sim::SimTime>(get_integer(
-        "warmup_ns", static_cast<double>(p.warmup_ns), 0, 1e12));
-    p.start_jitter_ns = static_cast<sim::SimTime>(get_integer(
-        "start_jitter_ns", static_cast<double>(p.start_jitter_ns), 0, 1e12));
-    p.link_delay_ns = static_cast<sim::SimTime>(get_integer(
-        "link_delay_ns", static_cast<double>(p.link_delay_ns), 1, 4e9));
-    if (const JsonValue* rate = packet->find("server_rate_gbps");
-        rate != nullptr) {
-      if (!rate->is_number()) {
-        fail_key("packet_sim.server_rate_gbps", "must be a number");
-      }
-      if (rate->number <= 0.0 || rate->number > 1e6) {
-        fail_key("packet_sim.server_rate_gbps",
-                 "out of range (want (0, 1e6])");
-      }
-      p.server_rate_gbps = rate->number;
-    }
+    p.subflows = static_cast<int>(get_number("subflows", p.subflows));
+    p.queue_packets =
+        static_cast<int>(get_number("queue_packets", p.queue_packets));
+    p.packet_bytes =
+        static_cast<int>(get_number("packet_bytes", p.packet_bytes));
+    p.duration_ns = static_cast<sim::SimTime>(
+        get_number("duration_ns", static_cast<double>(p.duration_ns)));
+    p.warmup_ns = static_cast<sim::SimTime>(
+        get_number("warmup_ns", static_cast<double>(p.warmup_ns)));
+    p.start_jitter_ns = static_cast<sim::SimTime>(get_number(
+        "start_jitter_ns", static_cast<double>(p.start_jitter_ns)));
+    p.link_delay_ns = static_cast<sim::SimTime>(
+        get_number("link_delay_ns", static_cast<double>(p.link_delay_ns)));
+    p.server_rate_gbps = get_number("server_rate_gbps", p.server_rate_gbps);
     if (const JsonValue* coupling = packet->find("ewtcp_coupling");
         coupling != nullptr) {
       if (!coupling->is_bool()) {
@@ -957,13 +965,13 @@ ScenarioSpec spec_from_json(const std::string& text) {
         const std::string where = std::string(knob.path) + "." + klass;
         if (klass.empty()) fail_key(where, "class name must be non-empty");
         if (!rate.is_number()) fail_key(where, "must be a number");
-        check_scalar(knob, where, rate.number);
+        check_rule(knob.rule, where, rate.number);
         knobs.failure.per_class.switch_fraction[klass] = rate.number;
       }
       continue;
     }
     if (!value->is_number()) fail_key(knob.path, "must be a number");
-    check_scalar(knob, knob.path, value->number);
+    check_rule(knob.rule, knob.path, value->number);
     knob.field(knobs).set(value->number);
   }
   copy_shared_knobs(spec, knobs);
@@ -977,34 +985,17 @@ ScenarioSpec spec_from_json(const std::string& text) {
     if (search->find("objective") != nullptr) {
       spec.search.objective = get_string(*search, "objective");
     }
-    const auto get_count = [&](const char* key, int fallback, double lo,
-                               double hi) {
-      const JsonValue* value = search->find(key);
-      if (value == nullptr) return fallback;
-      const std::string where = std::string("search.") + key;
-      if (!value->is_number()) fail_key(where, "must be a number");
-      if (value->number != std::floor(value->number)) {
-        fail_key(where, "must be an integer");
-      }
-      if (value->number < lo || value->number > hi) {
-        fail_key(where, "out of range (want " + json_number(lo) + ".." +
-                            json_number(hi) + ")");
-      }
-      return static_cast<int>(value->number);
+    const auto get_number = [&](const char* key, double fallback) {
+      return get_bounded(*search, "search.", key, fallback);
     };
-    spec.search.budget = get_count("budget", spec.search.budget, 0, 1e6);
-    spec.search.restarts = get_count("restarts", spec.search.restarts, 1, 1e4);
+    spec.search.budget =
+        static_cast<int>(get_number("budget", spec.search.budget));
+    spec.search.restarts =
+        static_cast<int>(get_number("restarts", spec.search.restarts));
     spec.search.population =
-        get_count("population", spec.search.population, 1, 1e4);
-    if (const JsonValue* temp = search->find("temperature"); temp != nullptr) {
-      if (!temp->is_number()) {
-        fail_key("search.temperature", "must be a number");
-      }
-      if (temp->number < 0.0 || temp->number > 1e6) {
-        fail_key("search.temperature", "out of range (want [0, 1e6])");
-      }
-      spec.search.temperature = temp->number;
-    }
+        static_cast<int>(get_number("population", spec.search.population));
+    spec.search.temperature =
+        get_number("temperature", spec.search.temperature);
     if (const JsonValue* moves = search->find("moves"); moves != nullptr) {
       if (!moves->is_array()) {
         fail_key("search.moves", "must be an array of move names");
@@ -1021,19 +1012,12 @@ ScenarioSpec spec_from_json(const std::string& text) {
       if (!cost->is_object()) fail_key("search.cost", "must be an object");
       require_only_keys(*cost, "search.cost.",
                         {"port", "cable", "switch", "class", "floor_columns"});
-      const auto get_weight = [&](const char* key, double fallback) {
-        const JsonValue* value = cost->find(key);
-        if (value == nullptr) return fallback;
-        const std::string where = std::string("search.cost.") + key;
-        if (!value->is_number()) fail_key(where, "must be a number");
-        if (value->number < 0.0 || value->number > 1e9) {
-          fail_key(where, "out of range (want [0, 1e9])");
-        }
-        return value->number;
+      const auto get_cost = [&](const char* key, double fallback) {
+        return get_bounded(*cost, "search.cost.", key, fallback);
       };
-      spec.search.port_cost = get_weight("port", spec.search.port_cost);
-      spec.search.cable_cost = get_weight("cable", spec.search.cable_cost);
-      spec.search.switch_cost = get_weight("switch", spec.search.switch_cost);
+      spec.search.port_cost = get_cost("port", spec.search.port_cost);
+      spec.search.cable_cost = get_cost("cable", spec.search.cable_cost);
+      spec.search.switch_cost = get_cost("switch", spec.search.switch_cost);
       if (const JsonValue* classes = cost->find("class"); classes != nullptr) {
         if (!classes->is_object()) {
           fail_key("search.cost.class", "must be an object");
@@ -1042,22 +1026,12 @@ ScenarioSpec spec_from_json(const std::string& text) {
           const std::string where = "search.cost.class." + klass;
           if (klass.empty()) fail_key(where, "class name must be non-empty");
           if (!value.is_number()) fail_key(where, "must be a number");
-          if (value.number < 0.0 || value.number > 1e9) {
-            fail_key(where, "out of range (want [0, 1e9])");
-          }
+          check_bounded(where, value.number);
           spec.search.class_cost[klass] = value.number;
         }
       }
-      if (const JsonValue* cols = cost->find("floor_columns");
-          cols != nullptr) {
-        if (!cols->is_number() || cols->number != std::floor(cols->number)) {
-          fail_key("search.cost.floor_columns", "must be an integer");
-        }
-        if (cols->number < 1 || cols->number > 1e6) {
-          fail_key("search.cost.floor_columns", "out of range (want 1..1e6)");
-        }
-        spec.search.floor_columns = static_cast<int>(cols->number);
-      }
+      spec.search.floor_columns = static_cast<int>(
+          get_cost("floor_columns", spec.search.floor_columns));
     }
   }
 
@@ -1079,8 +1053,10 @@ ScenarioSpec spec_from_json(const std::string& text) {
     }
   }
 
-  spec.quick_runs = get_run_count(root, "quick_runs", spec.quick_runs);
-  spec.full_runs = get_run_count(root, "full_runs", spec.full_runs);
+  spec.quick_runs =
+      static_cast<int>(get_bounded(root, "", "quick_runs", spec.quick_runs));
+  spec.full_runs =
+      static_cast<int>(get_bounded(root, "", "full_runs", spec.full_runs));
   if (const JsonValue* reuse = root.find("reuse_topology"); reuse != nullptr) {
     if (!reuse->is_bool()) fail_key("reuse_topology", "must be a boolean");
     spec.reuse_topology = reuse->boolean;

@@ -572,10 +572,11 @@ TEST(SpecErrors, DuplicateAxesAndOutOfRangeAxisValuesAreNamed) {
       "axes[0].values");
 }
 
-// One rule per scalar knob: a programmatic spec that validate_spec
-// accepts also survives its own dump -> parse round trip, and a value
-// just outside a bound is rejected by validate_spec and by the parser
-// alike, naming the same key.
+// One rule per numeric scalar key (the knobs, and the packet_sim, search
+// and run-count keys): a programmatic spec that validate_spec accepts
+// also survives its own dump -> parse round trip, and a value just
+// outside a bound is rejected by validate_spec and by the parser alike,
+// naming the same key.
 TEST(SpecErrors, ScalarKnobBoundsAgreeBetweenValidatorAndParser) {
   struct KnobCase {
     const char* key;
@@ -658,6 +659,117 @@ TEST(SpecErrors, ScalarKnobBoundsAgreeBetweenValidatorAndParser) {
          s.packet_sim.fct.fan_in = static_cast<int>(v);
        },
        {2.0, 1e6}, {1.0, 1e6 + 1}},
+      // The other numeric scalars: packet_sim, search and run counts.
+      {"packet_sim.subflows",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.subflows = static_cast<int>(v);
+       },
+       {1.0, 64.0}, {0.0, 65.0}},
+      {"packet_sim.queue_packets",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.queue_packets = static_cast<int>(v);
+       },
+       {1.0, 1e6}, {0.0, 1e6 + 1, 2e6}},
+      {"packet_sim.packet_bytes",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.packet_bytes = static_cast<int>(v);
+       },
+       {64.0, 65535.0}, {63.0, 65536.0}},
+      {"packet_sim.duration_ns",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.warmup_ns = 0;
+         s.packet_sim.params.duration_ns = static_cast<sim::SimTime>(v);
+       },
+       {1.0, 1e12}, {1e12 + 1}},
+      {"packet_sim.warmup_ns",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.duration_ns = 1'000'000'000'000;
+         s.packet_sim.params.warmup_ns = static_cast<sim::SimTime>(v);
+       },
+       {0.0}, {1e12 + 1}},
+      {"packet_sim.start_jitter_ns",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.start_jitter_ns = static_cast<sim::SimTime>(v);
+       },
+       {0.0, 1e12}, {1e12 + 1}},
+      {"packet_sim.link_delay_ns",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.link_delay_ns = static_cast<sim::SimTime>(v);
+       },
+       {1.0, 4e9}, {0.0, 4e9 + 1}},
+      {"packet_sim.server_rate_gbps",
+       [](ScenarioSpec& s, double v) {
+         s.packet_sim.enabled = true;
+         s.packet_sim.params.server_rate_gbps = v;
+       },
+       {tiny, 1e6}, {0.0, std::nextafter(1e6, 2e6)}},
+      {"search.budget",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.budget = static_cast<int>(v);
+       },
+       {0.0, 1e6}, {-1.0, 1e6 + 1}},
+      {"search.restarts",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.restarts = static_cast<int>(v);
+       },
+       {1.0, 1e4}, {0.0, 1e4 + 1}},
+      {"search.population",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.population = static_cast<int>(v);
+       },
+       {1.0, 1e4}, {0.0, 1e4 + 1}},
+      {"search.temperature",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.temperature = v;
+       },
+       {0.0, 1e6}, {below0, std::nextafter(1e6, 2e6)}},
+      {"search.cost.port",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.port_cost = v;
+       },
+       {0.0, 1e9}, {below0, std::nextafter(1e9, 2e9)}},
+      {"search.cost.cable",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.cable_cost = v;
+       },
+       {0.0, 1e9}, {below0, std::nextafter(1e9, 2e9)}},
+      {"search.cost.switch",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.switch_cost = v;
+       },
+       {0.0, 1e9}, {below0, std::nextafter(1e9, 2e9)}},
+      {"search.cost.class.tor",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.class_cost["tor"] = v;
+       },
+       {0.0, 1e9}, {below0, std::nextafter(1e9, 2e9)}},
+      {"search.cost.floor_columns",
+       [](ScenarioSpec& s, double v) {
+         s.search.enabled = true;
+         s.search.floor_columns = static_cast<int>(v);
+       },
+       {1.0, 1e6}, {0.0, 1e6 + 1}},
+      {"quick_runs",
+       [](ScenarioSpec& s, double v) { s.quick_runs = static_cast<int>(v); },
+       {1.0, 1e6}, {0.0, 1e6 + 1}},
+      {"full_runs",
+       [](ScenarioSpec& s, double v) { s.full_runs = static_cast<int>(v); },
+       {1.0, 1e6}, {0.0, 1e6 + 1}},
   };
   const ScenarioSpec base = spec_from_json(R"({
     "name": "bounds",
