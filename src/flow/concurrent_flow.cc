@@ -228,7 +228,7 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
   long round_counter = 0;
   std::atomic<bool> routing_failed{false};
 
-  // ---- Dual state (both modes) ----
+  // ---- Dual state ----
   //
   // The dual pass runs the source groups kDualLanes at a time through one
   // multi-source sweep (MultiSourceWorkspace). Each lane's distances are

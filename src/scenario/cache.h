@@ -39,7 +39,7 @@ inline constexpr const char* kSolverVersionTag = "fptas-csr-v2";
 /// Approximate-solver version tag, mixed into the key of approx-mode
 /// cells only (SolverMode::kApprox) — the exact-mode population is never
 /// perturbed by approx numerics changes, and bumping this tag on a
-/// warm-tree/batching/bucketing change invalidates exactly the approx
+/// warm-tree/batching change invalidates exactly the approx
 /// cells.
 inline constexpr const char* kSolverApproxVersionTag = "fptas-approx-v1";
 
