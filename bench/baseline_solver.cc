@@ -217,7 +217,7 @@ ThroughputResult max_concurrent_flow_baseline(
     last_primal =
         congestion > 0.0 ? static_cast<double>(phase + 1) / congestion : 0.0;
 
-    if (phase % options.dual_every == 0 || phase + 1 == options.max_phases) {
+    if (phase % 1 == 0 || phase + 1 == options.max_phases) {
       double d_l = 0.0;
       for (int a = 0; a < arcs.num_arcs; ++a) {
         d_l += length[static_cast<std::size_t>(a)] *

@@ -17,6 +17,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Exact mode re-routes a tree path once it is 1.5x its tree distance; approx
+// mode uses the much tighter 1 + epsilon/2, which is where most of its
+// phase savings come from (factors much above 1 + epsilon stall the
+// certified gap).
+constexpr double kExactStaleFactor = 1.5;
+// Approx mode routes source groups in rounds of this many against one
+// length snapshot. The round partition depends on this value alone, so
+// results are identical for any thread count.
+constexpr int kApproxRoundSize = 32;
+
 // Commodities grouped by source, flattened into parallel arrays so the
 // phase loop walks contiguous memory: group g's destinations/demands are
 // the slice [groups[g].begin, groups[g].end) of dsts/demands.
@@ -168,16 +178,93 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
   std::vector<double> slot_length;
   fill_slot_lengths(arcs, length, slot_length);
   const double step = options.epsilon / 2.0;  // length-update granularity
-  const double stale_factor = 1.5;            // tree reuse tolerance
+  // Overflow guard: once the running maximum passes 1e200, rescales every
+  // length by 1e-150 (the certificate is scale-free). Returns true if so.
+  const auto guard_overflow = [&] {
+    if (max_length <= 1e200) return false;
+    for (double& l : length) l *= 1e-150;
+    for (double& l : slot_length) l *= 1e-150;
+    max_length *= 1e-150;
+    return true;
+  };
 
-  DijkstraWorkspace routing_ws;
   std::vector<double> dual_terms(commodities.size());
-
   double best_dual = kInf;
   double last_primal = 0.0;
   double best_gap = 1.0;
   int phases_since_improvement = 0;
-  std::vector<int> path;
+
+  // ---- The router (both modes) ----
+  //
+  // Routes every commodity of group `gi` once against the lengths `len`
+  // (by arc) and `slot_len` (by CSR slot), multiplying each pushed-on arc's
+  // length in both, and calls on_push(path, pushed) after every push. `ws`
+  // holds the group's shortest-path tree, valid on entry iff `has_tree`.
+  // A tree path is re-routed once its current length exceeds `stale` times
+  // the tree distance; the tree distance lower-bounds the current shortest
+  // distance (lengths only grow), so `stale` bounds the path quality.
+  // Returns false if a destination is unreachable, which the reachability
+  // pre-pass rules out.
+  const auto route_group = [&](int gi, DijkstraWorkspace& ws, double* len,
+                               double* slot_len, bool has_tree, double stale,
+                               std::vector<int>& path, auto&& on_push) {
+    const auto& group = grouped.groups[static_cast<std::size_t>(gi)];
+    // Each Dijkstra is bounded by the destinations the group still has to
+    // serve: a tree built at destination `from` covers [from, end).
+    const auto refresh = [&](int from) {
+      ws.run_slots(arcs, slot_len, group.src, dag_for(gi),
+                   grouped.dsts.data() + from, group.end - from);
+      has_tree = true;
+    };
+    for (int i = group.begin; i < group.end; ++i) {
+      const NodeId dst = grouped.dsts[static_cast<std::size_t>(i)];
+      const double demand = grouped.demands[static_cast<std::size_t>(i)];
+      double remaining = demand;
+      const double tol = 1e-12 * demand;
+      // The tree only changes on refresh, so the path and its (static)
+      // bottleneck capacity are cached across saturation steps; only the
+      // path's current length must be re-summed after each push.
+      bool path_valid = false;
+      double bottleneck = kInf;
+      while (remaining > tol) {
+        // A warm tree from an earlier bounded run may simply not have
+        // finalized this destination; that means refresh, not infeasible.
+        if (!has_tree || ws.dist(dst) == kInf) {
+          refresh(i);
+          path_valid = false;
+        }
+        if (!path_valid) {
+          if (!ws.extract_path(arcs, group.src, dst, path)) {
+            refresh(i);
+            if (!ws.extract_path(arcs, group.src, dst, path)) return false;
+          }
+          bottleneck = kInf;
+          for (int a : path) {
+            bottleneck =
+                std::min(bottleneck, arcs.capacity[static_cast<std::size_t>(a)]);
+          }
+          path_valid = true;
+        }
+        double current_len = 0.0;
+        for (int a : path) current_len += len[static_cast<std::size_t>(a)];
+        if (current_len > stale * ws.dist(dst)) {
+          refresh(i);
+          path_valid = false;
+          continue;
+        }
+        const double pushed = std::min(remaining, bottleneck);
+        for (int a : path) {
+          const auto as = static_cast<std::size_t>(a);
+          double& l = len[as];
+          l *= 1.0 + step * pushed / arcs.capacity[as];
+          slot_len[static_cast<std::size_t>(arcs.slot_of_arc[as])] = l;
+        }
+        on_push(path, pushed);
+        remaining -= pushed;
+      }
+    }
+    return true;
+  };
 
   // ---- Approx-mode state (SolverMode::kApprox only; empty otherwise) ----
   //
@@ -192,13 +279,7 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
   // its shortest-path tree across phases (warm start) and only re-runs
   // Dijkstra when the cached tree goes stale or misses a destination.
   const bool approx = options.mode == SolverMode::kApprox;
-  const double approx_stale = options.approx_stale_factor > 0.0
-                                  ? options.approx_stale_factor
-                                  : 1.0 + options.epsilon / 2.0;
-  if (approx) {
-    require(approx_stale >= 1.0, "approx_stale_factor must be >= 1");
-    require(options.approx_round_size >= 1, "approx_round_size must be >= 1");
-  }
+  const double approx_stale = 1.0 + options.epsilon / 2.0;
   const int num_slots = parallel_slots();
   // Warm per-group trees cost O(nodes) each; past this many total label
   // entries fall back to per-slot workspaces rebuilt on first use.
@@ -210,10 +291,10 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
       warm_trees ? static_cast<std::size_t>(num_groups) : 0);
   std::vector<DijkstraWorkspace> slot_routing_ws(
       approx && !warm_trees ? static_cast<std::size_t>(num_slots) : 0);
-  std::vector<char> group_has_tree(
-      warm_trees ? static_cast<std::size_t>(num_groups) : 0, 0);
+  // The rescale epoch each warm tree's distances are in; -1 before the
+  // group's first tree.
   std::vector<int> group_epoch(
-      warm_trees ? static_cast<std::size_t>(num_groups) : 0, 0);
+      warm_trees ? static_cast<std::size_t>(num_groups) : 0, -1);
   int rescale_epoch = 0;  // bumped by the overflow guard; trees sync lazily
   std::vector<std::vector<std::pair<int, double>>> group_entries(
       approx ? static_cast<std::size_t>(num_groups) : 0);
@@ -246,114 +327,79 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
     if (options.restrict_to_shortest_paths) group_hops.push_back(dag_for(gi));
   }
 
-  const auto route_group_approx = [&](int slot, int gi) {
-    const auto ss = static_cast<std::size_t>(slot);
-    const auto gs = static_cast<std::size_t>(gi);
-    const auto& group = grouped.groups[gs];
-    std::vector<double>& local_len = slot_local_len[ss];
-    std::vector<double>& local_slot_len = slot_local_slot_len[ss];
-    auto& entries = group_entries[gs];
-    std::vector<int>& gpath = slot_path[ss];
-    DijkstraWorkspace& ws = warm_trees ? group_ws[gs] : slot_routing_ws[ss];
-    bool has_tree = warm_trees && group_has_tree[gs] != 0;
-    // A cached tree's distances are sums of pre-rescale lengths; bring
-    // them into the current scale before comparing against fresh sums.
-    if (has_tree && group_epoch[gs] != rescale_epoch) {
-      double factor = 1.0;
-      for (int e = group_epoch[gs]; e < rescale_epoch; ++e) factor *= 1e-150;
-      ws.scale_distances(factor);
-    }
-    if (warm_trees) group_epoch[gs] = rescale_epoch;
-    const auto refresh = [&](int from) {
-      ws.run_slots(arcs, local_slot_len.data(), group.src, dag_for(gi),
-                   grouped.dsts.data() + from, group.end - from);
-      has_tree = true;
-      if (warm_trees) group_has_tree[gs] = 1;
-    };
-    for (int i = group.begin; i < group.end; ++i) {
-      const NodeId dst = grouped.dsts[static_cast<std::size_t>(i)];
-      const double demand = grouped.demands[static_cast<std::size_t>(i)];
-      double remaining = demand;
-      const double tol = 1e-12 * demand;
-      bool path_valid = false;
-      double bottleneck = kInf;
-      while (remaining > tol) {
-        // A warm tree from an earlier bounded run may simply not have
-        // finalized this destination; that means refresh, not infeasible.
-        if (!has_tree || ws.dist(dst) == kInf) {
-          refresh(i);
-          path_valid = false;
-        }
-        if (!path_valid) {
-          if (!ws.extract_path(arcs, group.src, dst, gpath)) {
-            refresh(i);
-            if (!ws.extract_path(arcs, group.src, dst, gpath)) {
-              routing_failed.store(true, std::memory_order_relaxed);
-              return;  // should not happen after the pre-check
-            }
-          }
-          bottleneck = kInf;
-          for (int a : gpath) {
-            bottleneck =
-                std::min(bottleneck, arcs.capacity[static_cast<std::size_t>(a)]);
-          }
-          path_valid = true;
-        }
-        // Staleness: the tree distance lower-bounds the current shortest
-        // distance (lengths only grow), so this keeps routing
-        // near-shortest even against a tree from an earlier phase.
-        double current_len = 0.0;
-        for (int a : gpath) {
-          current_len += local_len[static_cast<std::size_t>(a)];
-        }
-        if (current_len > approx_stale * ws.dist(dst)) {
-          refresh(i);
-          path_valid = false;
-          continue;
-        }
-        const double pushed = std::min(remaining, bottleneck);
-        for (int a : gpath) {
-          entries.emplace_back(a, pushed);
-          double& len = local_len[static_cast<std::size_t>(a)];
-          len *=
-              1.0 + step * pushed / arcs.capacity[static_cast<std::size_t>(a)];
-          local_slot_len[static_cast<std::size_t>(
-              arcs.slot_of_arc[static_cast<std::size_t>(a)])] = len;
-        }
-        remaining -= pushed;
-      }
-    }
-    // Revert the overlay to the round snapshot (the globals are immutable
-    // during a round), leaving it clean for the slot's next group.
-    for (const auto& entry : entries) {
-      const auto a = static_cast<std::size_t>(entry.first);
-      local_len[a] = length[a];
-      local_slot_len[static_cast<std::size_t>(arcs.slot_of_arc[a])] =
-          slot_length[static_cast<std::size_t>(arcs.slot_of_arc[a])];
-    }
-  };
-
   // Approx mode halves the dual-bound cadence: the bound is valid for any
   // lengths, so this trades only certificate tightness for time.
-  const int dual_cadence =
-      approx ? std::max(options.dual_every, 2) : options.dual_every;
+  const int dual_cadence = approx ? 2 : 1;
+
+  // Exact mode routes every group cold, in order, on the global lengths.
+  DijkstraWorkspace routing_ws;
+  std::vector<int> path;
+  const auto exact_push = [&](const std::vector<int>& pushed_path,
+                              double pushed) {
+    for (int a : pushed_path) {
+      result.arc_flow[static_cast<std::size_t>(a)] += pushed;
+      max_length = std::max(max_length, length[static_cast<std::size_t>(a)]);
+    }
+    // The guard runs inside the routing loop so a long source group cannot
+    // drive lengths to infinity mid-group. The cached tree distances are
+    // sums of the same lengths, so they rescale by the same factor and the
+    // staleness ratio stays meaningful.
+    if (guard_overflow()) routing_ws.scale_distances(1e-150);
+  };
 
   int phase = 0;
   for (; phase < options.max_phases; ++phase) {
     if (approx) {
       for (int round_begin = 0; round_begin < num_groups;
-           round_begin += options.approx_round_size) {
+           round_begin += kApproxRoundSize) {
         const int round_end =
-            std::min(num_groups, round_begin + options.approx_round_size);
+            std::min(num_groups, round_begin + kApproxRoundSize);
         const long round_id = round_counter++;
         parallel_for_slots(round_end - round_begin, [&](int slot, int idx) {
+          const int gi = round_begin + idx;
           const auto ss = static_cast<std::size_t>(slot);
+          const auto gs = static_cast<std::size_t>(gi);
+          std::vector<double>& local_len = slot_local_len[ss];
+          std::vector<double>& local_slot_len = slot_local_slot_len[ss];
           if (slot_round_stamp[ss] != round_id) {
-            slot_local_len[ss] = length;  // this round's snapshot
-            slot_local_slot_len[ss] = slot_length;
+            local_len = length;  // this round's snapshot
+            local_slot_len = slot_length;
             slot_round_stamp[ss] = round_id;
           }
-          route_group_approx(slot, round_begin + idx);
+          DijkstraWorkspace& ws =
+              warm_trees ? group_ws[gs] : slot_routing_ws[ss];
+          const bool has_tree = warm_trees && group_epoch[gs] >= 0;
+          // A cached tree's distances are sums of pre-rescale lengths;
+          // bring them into the current scale before comparing against
+          // fresh sums.
+          if (has_tree && group_epoch[gs] != rescale_epoch) {
+            double factor = 1.0;
+            for (int e = group_epoch[gs]; e < rescale_epoch; ++e) {
+              factor *= 1e-150;
+            }
+            ws.scale_distances(factor);
+          }
+          if (warm_trees) group_epoch[gs] = rescale_epoch;
+          auto& entries = group_entries[gs];
+          if (!route_group(gi, ws, local_len.data(), local_slot_len.data(),
+                           has_tree, approx_stale, slot_path[ss],
+                           [&](const std::vector<int>& pushed_path,
+                               double pushed) {
+                             for (int a : pushed_path) {
+                               entries.emplace_back(a, pushed);
+                             }
+                           })) {
+            routing_failed.store(true, std::memory_order_relaxed);
+          }
+          // Revert the overlay to the round snapshot (the globals are
+          // immutable during a round), leaving it clean for the slot's
+          // next group.
+          for (const auto& entry : entries) {
+            const auto a = static_cast<std::size_t>(entry.first);
+            const auto s = static_cast<std::size_t>(arcs.slot_of_arc[a]);
+            local_len[a] = length[a];
+            local_slot_len[s] = slot_length[s];
+          }
         });
         if (routing_failed.load(std::memory_order_relaxed)) return result;
         // Serial merge in group order: flows, multiplicative length
@@ -367,84 +413,17 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
             len *= 1.0 + step * pushed / arcs.capacity[as];
             slot_length[static_cast<std::size_t>(arcs.slot_of_arc[as])] = len;
             max_length = std::max(max_length, len);
-            if (max_length > 1e200) {
-              for (double& l : length) l *= 1e-150;
-              for (double& l : slot_length) l *= 1e-150;
-              ++rescale_epoch;
-              max_length *= 1e-150;
-            }
+            if (guard_overflow()) ++rescale_epoch;
           }
           entries.clear();
         }
       }
     } else {
       for (int gi = 0; gi < num_groups; ++gi) {
-        const auto& group = grouped.groups[static_cast<std::size_t>(gi)];
-        // Each Dijkstra is bounded by the destinations it still has to
-        // serve: the initial tree by the whole group, a mid-group refresh
-        // only by the remaining slice.
-        routing_ws.run_slots(arcs, slot_length.data(), group.src, dag_for(gi),
-                             grouped.dsts.data() + group.begin,
-                             group.end - group.begin);
-        for (int i = group.begin; i < group.end; ++i) {
-          const NodeId dst = grouped.dsts[static_cast<std::size_t>(i)];
-          const double demand = grouped.demands[static_cast<std::size_t>(i)];
-          double remaining = demand;
-          const double tol = 1e-12 * demand;
-          // The tree only changes on refresh, so the path and its (static)
-          // bottleneck capacity are cached across saturation steps; only
-          // the path's current length must be re-summed after each push.
-          bool path_valid = false;
-          double bottleneck = kInf;
-          while (remaining > tol) {
-            if (!path_valid) {
-              if (!routing_ws.extract_path(arcs, group.src, dst, path)) {
-                return result;  // should not happen after the pre-check
-              }
-              bottleneck = kInf;
-              for (int a : path) {
-                bottleneck = std::min(
-                    bottleneck, arcs.capacity[static_cast<std::size_t>(a)]);
-              }
-              path_valid = true;
-            }
-            // Refresh the tree when this path's current length has drifted
-            // well above the tree's distance (lengths rose since computing
-            // it), so routing stays near-shortest.
-            double current_len = 0.0;
-            for (int a : path) {
-              current_len += length[static_cast<std::size_t>(a)];
-            }
-            if (current_len > stale_factor * routing_ws.dist(dst)) {
-              routing_ws.run_slots(arcs, slot_length.data(), group.src,
-                                   dag_for(gi), grouped.dsts.data() + i,
-                                   group.end - i);
-              path_valid = false;
-              continue;
-            }
-            const double pushed = std::min(remaining, bottleneck);
-            for (int a : path) {
-              result.arc_flow[static_cast<std::size_t>(a)] += pushed;
-              double& len = length[static_cast<std::size_t>(a)];
-              len *= 1.0 +
-                     step * pushed / arcs.capacity[static_cast<std::size_t>(a)];
-              slot_length[static_cast<std::size_t>(
-                  arcs.slot_of_arc[static_cast<std::size_t>(a)])] = len;
-              max_length = std::max(max_length, len);
-            }
-            // Overflow guard, applied inside the routing loop so a long
-            // source group cannot drive lengths to infinity mid-group. The
-            // cached tree distances are sums of the same lengths, so they
-            // rescale by the same factor and the staleness ratio above stays
-            // meaningful.
-            if (max_length > 1e200) {
-              for (double& l : length) l *= 1e-150;
-              for (double& l : slot_length) l *= 1e-150;
-              routing_ws.scale_distances(1e-150);
-              max_length *= 1e-150;
-            }
-            remaining -= pushed;
-          }
+        if (!route_group(gi, routing_ws, length.data(), slot_length.data(),
+                         /*has_tree=*/false, kExactStaleFactor, path,
+                         exact_push)) {
+          return result;
         }
       }
     }

@@ -43,22 +43,28 @@
 
 namespace topo {
 
-/// How the solver runs its phases.
+/// How the solver runs its phases. Both modes route each source group
+/// through one router (extract a tree path, re-route it once stale, push
+/// its bottleneck, raise its arc lengths) and certify with one dual pass;
+/// they differ only in tree warm-start, stale factor, round batching and
+/// dual cadence.
 enum class SolverMode {
-  /// The bit-exact reference path: serial phases, results frozen by the
+  /// The bit-exact reference path: groups routed serially on cold trees,
+  /// stale factor 1.5, the dual bound every phase. Results frozen by the
   /// perf_microbench baseline guard and the golden tables. Default.
   kExact,
-  /// The approximate path: warm-started per-group shortest-path trees
-  /// carried across phases, source groups routed in deterministic batched
-  /// rounds against a snapshot of the length function (parallel across
-  /// the thread pool, applied in group order), and the dual bound on every
-  /// second phase. Still a certified (1-epsilon)-approximation — the
-  /// primal is feasible by construction and the dual bound holds for any
-  /// lengths — but the phase trajectory differs from exact mode, so lambda
-  /// may differ within the epsilon tolerance. Deterministic for any thread
-  /// count. Not reliably faster than exact: its gain comes from routing
-  /// rounds spread over the pool, so on one thread it can be the slower
-  /// mode (README, "Solver modes", has measurements).
+  /// The approximate path: per-group shortest-path trees carried across
+  /// phases (warm start), stale factor 1 + epsilon/2, source groups routed
+  /// in deterministic rounds of 32 against a snapshot of the length
+  /// function (parallel across the thread pool, applied in group order),
+  /// and the dual bound on every second phase. Still a certified
+  /// (1-epsilon)-approximation — the primal is feasible by construction
+  /// and the dual bound holds for any lengths — but the phase trajectory
+  /// differs from exact mode, so lambda may differ within the epsilon
+  /// tolerance. Deterministic for any thread count. Not reliably faster
+  /// than exact: its gain comes from routing rounds spread over the pool,
+  /// so on one thread it can be the slower mode (README, "Solver modes",
+  /// has measurements).
   kApprox,
 };
 
@@ -70,9 +76,6 @@ struct FlowOptions {
   int max_phases = 3000;
   /// Stop early if the certified gap has not improved for this many phases.
   int stagnation_phases = 200;
-  /// Recompute the dual bound every this many phases (it is valid for any
-  /// lengths, so frequency affects only tightness/runtime).
-  int dual_every = 1;
   /// Restrict every commodity to hop-shortest paths (the ECMP/K-shortest
   /// routing model of §8): flow from source s may only use arcs (u,v) with
   /// hop(s,v) == hop(s,u) + 1. The result (and its certificate) then refer
@@ -81,19 +84,6 @@ struct FlowOptions {
   /// Solver mode; kApprox is opt-in and changes cache cell identity (see
   /// scenario/cache.h, kSolverApproxVersionTag).
   SolverMode mode = SolverMode::kExact;
-  /// Approx mode only: a group's cached tree path is re-routed when its
-  /// current length exceeds this multiple of the cached tree distance.
-  /// 0 (the default) means auto: 1 + epsilon/2. Because the cached
-  /// distance lower-bounds the current shortest distance, the factor is a
-  /// hard path-quality bound — keeping it near 1+epsilon makes the
-  /// certificate converge in far fewer phases than exact mode's looser
-  /// in-phase reuse (1.5), which is where most of the approx speedup
-  /// comes from; factors much above 1+epsilon stall the certified gap.
-  double approx_stale_factor = 0.0;
-  /// Approx mode only: source groups routed concurrently per snapshot
-  /// round. The round partition is fixed by this value alone, so results
-  /// are identical for any thread count.
-  int approx_round_size = 32;
 };
 
 /// Result of a throughput computation. All capacity-consumption metrics

@@ -188,18 +188,18 @@ std::string cell_identity_json(const CellIdentity& cell) {
   out << "}, \"epsilon\": " << json_number(options.flow.epsilon)
       << ", \"max_phases\": " << options.flow.max_phases
       << ", \"stagnation_phases\": " << options.flow.stagnation_phases
-      << ", \"dual_every\": " << options.flow.dual_every
+      << ", \"dual_every\": 1"
       << ", \"shortest_paths\": "
       << (options.flow.restrict_to_shortest_paths ? "true" : "false");
   // The approximate-solver block joins the identity only in approx mode,
   // so every exact-mode cell — including every cell written before the
   // mode existed — keeps its address, while flipping to approx (or
-  // turning any approx knob, or bumping the approx tag) perturbs the key.
+  // bumping the approx tag) perturbs the key. "dual_every" and the approx
+  // stale factor (0 = auto) and round size are fixed in the solver; their
+  // constant values stay in the identity so that no address moves.
   if (options.flow.mode == SolverMode::kApprox) {
-    out << ", \"solver_mode\": \"approx\""
-        << ", \"approx_stale\": "
-        << json_number(options.flow.approx_stale_factor)
-        << ", \"approx_round\": " << options.flow.approx_round_size
+    out << ", \"solver_mode\": \"approx\", \"approx_stale\": 0"
+        << ", \"approx_round\": 32"
         << ", \"approx\": " << json_string(kSolverApproxVersionTag);
   }
   out << ", \"traffic\": " << json_string(traffic_kind_name(options.traffic))

@@ -59,9 +59,11 @@ class CandidateEvaluator {
 
   // Evaluates every candidate in `batch` (in parallel over its
   // candidate × run cells) and reduces in batch order. Duplicate
-  // candidates within one batch are legal (a failed move returns the
-  // current design unchanged); they share cells across batches via the
-  // memo even if one batch computes them twice.
+  // candidates within one batch are legal (two mutations can land on the
+  // same design): each distinct cell is resolved once, by its
+  // first occurrence, and copied to the later ones, which count as memo
+  // hits. Resolving a copy on its own would race the first one's store, so
+  // the hit count would depend on timing.
   std::vector<Evaluated> evaluate(
       const std::vector<const BuiltTopology*>& batch) {
     const int n = static_cast<int>(batch.size());
@@ -81,6 +83,8 @@ class CandidateEvaluator {
     std::vector<char> have(static_cast<std::size_t>(num_cells), 0);
     std::vector<char> loaded(static_cast<std::size_t>(num_cells), 0);
     std::vector<char> computed(static_cast<std::size_t>(num_cells), 0);
+    std::vector<int> copy_of(static_cast<std::size_t>(num_cells), -1);
+    std::map<std::uint64_t, int> first_occurrence;
     for (int i = 0; i < num_cells; ++i) {
       const std::size_t s = static_cast<std::size_t>(i);
       scenario::CellIdentity cell;
@@ -91,6 +95,12 @@ class CandidateEvaluator {
       keys[s] = scenario::cell_key(cell);
       if (const auto it = memo_.find(keys[s]); it != memo_.end()) {
         cells[s] = it->second;
+        have[s] = 1;
+        ++hits_;
+      } else if (const auto [first, fresh] =
+                     first_occurrence.try_emplace(keys[s], i);
+                 !fresh) {
+        copy_of[s] = first->second;  // filled in after the passes
         have[s] = 1;
         ++hits_;
       }
@@ -143,6 +153,9 @@ class CandidateEvaluator {
     });
     for (int i = 0; i < num_cells; ++i) {
       const std::size_t s = static_cast<std::size_t>(i);
+      if (copy_of[s] >= 0) {
+        cells[s] = cells[static_cast<std::size_t>(copy_of[s])];
+      }
       if (loaded[s]) ++hits_;
       if (computed[s]) ++misses_;
       memo_.emplace(keys[s], cells[s]);

@@ -198,6 +198,43 @@ TEST(SearchDriver, WarmRerunHasZeroMisses) {
   std::filesystem::remove_all(options.cache_dir);
 }
 
+// Server shifts on K4 with 8 servers have only 12 distinct outcomes, so a
+// population of 8 draws some fresh neighbor twice. Each distinct cell must
+// be solved once (the copy counts as a memo hit), with or without a cache,
+// so the accounting cannot depend on which copy reaches the cache first.
+TEST(SearchDriver, DuplicateCandidatesInABatchAreSolvedOnce) {
+  scenario::ScenarioSpec spec = tiny_search_spec();
+  spec.topology = {"random_regular", {{"n", 4}, {"ports", 5}, {"degree", 3}}};
+  spec.search.budget = 1;
+  spec.search.population = 8;
+  spec.search.moves = {"server_shift"};
+  SearchDriverOptions options = tiny_options();
+
+  const SearchResult uncached = run_search(spec, options);
+  std::map<std::string, int> copies;
+  for (const SearchStepRecord& record : uncached.trace) {
+    ++copies[record.candidate];
+  }
+  const std::string initial = uncached.trace.front().candidate;
+  const bool fresh_duplicate = std::any_of(
+      copies.begin(), copies.end(), [&](const auto& entry) {
+        return entry.first != initial && entry.second > 1;
+      });
+  ASSERT_TRUE(fresh_duplicate) << "the batch holds no repeated neighbor";
+  const int distinct = static_cast<int>(copies.size());
+  EXPECT_EQ(uncached.cache_misses, distinct);
+  EXPECT_EQ(uncached.cache_hits,
+            static_cast<int>(uncached.trace.size()) - distinct);
+
+  for (int run = 0; run < 2; ++run) {
+    options.cache_dir = fresh_dir("search_duplicates");
+    const SearchResult cold = run_search(spec, options);
+    EXPECT_EQ(cold.cache_misses, uncached.cache_misses);
+    EXPECT_EQ(cold.cache_hits, uncached.cache_hits);
+    std::filesystem::remove_all(options.cache_dir);
+  }
+}
+
 TEST(SearchDriver, ShardedRunsWalkTheIdenticalTrajectory) {
   const scenario::ScenarioSpec spec = tiny_search_spec();
   SearchDriverOptions options = tiny_options();

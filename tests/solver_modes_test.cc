@@ -113,10 +113,9 @@ TEST(SolverModes, ApproxIsBitDeterministicInProcess) {
 }
 
 // The cornerstone of the cache contract: an exact-mode cell's identity
-// contains no approx material at all, so (a) every cell written before
-// approx mode existed keeps its address and (b) approx knobs are inert
-// in exact mode. Approx mode joins the identity explicitly, and every
-// approx knob (and the approx version tag) perturbs only approx keys.
+// contains no approx material at all, so every cell written before approx
+// mode existed keeps its address. Approx mode joins the identity
+// explicitly, with the approx version tag.
 TEST(SolverModes, ExactCellKeysUntouchedByApproxKnobs) {
   CellIdentity cell;
   cell.family = "random_regular";
@@ -129,13 +128,6 @@ TEST(SolverModes, ExactCellKeysUntouchedByApproxKnobs) {
   EXPECT_EQ(exact_json.find("approx"), std::string::npos) << exact_json;
   const std::uint64_t exact_key = cell_key(cell);
 
-  // Approx knobs without approx mode: same identity, same address.
-  CellIdentity inert = cell;
-  inert.options.flow.approx_stale_factor = 1.05;
-  inert.options.flow.approx_round_size = 8;
-  EXPECT_EQ(cell_identity_json(inert), exact_json);
-  EXPECT_EQ(cell_key(inert), exact_key);
-
   // Flipping the mode changes the address and injects the approx tag.
   CellIdentity approx = cell;
   approx.options.flow.mode = SolverMode::kApprox;
@@ -143,15 +135,6 @@ TEST(SolverModes, ExactCellKeysUntouchedByApproxKnobs) {
   EXPECT_NE(approx_key, exact_key);
   EXPECT_NE(cell_identity_json(approx).find(kSolverApproxVersionTag),
             std::string::npos);
-
-  // Each approx knob perturbs approx keys (they are identity in that
-  // mode: they change the certified numbers).
-  CellIdentity stale = approx;
-  stale.options.flow.approx_stale_factor = 1.05;
-  EXPECT_NE(cell_key(stale), approx_key);
-  CellIdentity round = approx;
-  round.options.flow.approx_round_size = 8;
-  EXPECT_NE(cell_key(round), approx_key);
 }
 
 // User-supplied CDF tables join the cell identity as the parsed points,
